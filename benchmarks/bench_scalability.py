@@ -1,8 +1,8 @@
 """Scalability microbenchmarks (not a paper artefact).
 
 How the pipeline's phases scale with loop-body size: MII analysis
-(circuit enumeration), the HRMS pre-ordering, the MinDist solver (cold
-factorise-and-solve vs. warm cache hit), and the full schedule.  Useful
+(circuit enumeration), the HRMS pre-ordering, MinDist (the pure cold
+factorise-and-solve vs. a warm session memo hit), and the full schedule.  Useful
 for spotting complexity regressions in the graph algorithms.
 
 The 512-op tier exists to exercise the engine layer at sizes the seed
@@ -18,7 +18,8 @@ import pytest
 
 from repro.core.ordering import hrms_order
 from repro.core.scheduler import HRMSScheduler
-from repro.engine import MinDistSolver
+from repro.engine import SchedulingSession
+from repro.engine.mindist import factorise, solve
 from repro.mii.analysis import compute_mii
 from repro.workloads.synthetic import random_ddg
 
@@ -48,12 +49,12 @@ def test_preordering(benchmark, size, pc_machine):
 
 @pytest.mark.parametrize("size", LARGE_SIZES)
 def test_mindist_cold(benchmark, size, pc_machine):
-    """Factorise the graph and solve one II with an empty cache."""
+    """Factorise the graph and solve one II with no memo at all."""
     graph = graph_of(size)
     ii = compute_mii(graph, pc_machine).mii
 
     def cold_solve():
-        return MinDistSolver().solve(graph, ii)
+        return solve(factorise(graph), ii)
 
     result = benchmark(cold_solve)
     assert result is not None
@@ -61,15 +62,15 @@ def test_mindist_cold(benchmark, size, pc_machine):
 
 @pytest.mark.parametrize("size", LARGE_SIZES)
 def test_mindist_warm(benchmark, size, pc_machine):
-    """Cache-hit path: the II search's repeat queries cost this much."""
+    """Memo-hit path: the II search's repeat queries cost this much."""
     graph = graph_of(size)
-    ii = compute_mii(graph, pc_machine).mii
-    solver = MinDistSolver()
-    assert solver.solve(graph, ii) is not None  # prime
+    analysis = compute_mii(graph, pc_machine)
+    session = SchedulingSession(graph, pc_machine, analysis)
+    assert session.mindist(analysis.mii) is not None  # prime
 
-    result = benchmark(solver.solve, graph, ii)
+    result = benchmark(session.mindist, analysis.mii)
     assert result is not None
-    assert solver.cache_info()["hits"] >= 1
+    assert session.sweep_stats()["memo_hits"] >= 1
 
 
 @pytest.mark.parametrize("size", SIZES)

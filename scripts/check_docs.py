@@ -4,8 +4,10 @@
 The README promises a quickstart: every console-script entry point
 declared in ``setup.py`` and every scheduler registered in
 :mod:`repro.schedulers.registry` must be mentioned in ``README.md``,
-and every relative link in the README and ``docs/`` must resolve to a
-real file.  Anything less means the docs have rotted relative to the
+every relative link in the README and ``docs/`` must resolve to a
+real file, and every backticked dotted ``repro.…`` name in
+``README.md``, ``PERFORMANCE.md`` and ``docs/*.md`` must import and
+resolve.  Anything less means the docs have rotted relative to the
 code — which this script turns into a loud failure instead of a
 confused user.
 
@@ -19,6 +21,7 @@ or let ``scripts/perf_check.py`` (which embeds it as a tier) and
 
 from __future__ import annotations
 
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -31,6 +34,12 @@ _ENTRY_POINT = re.compile(r'"([A-Za-z0-9_.-]+)\s*=\s*[\w.]+:[\w]+"')
 
 #: Inline markdown links — ``[text](target)``.
 _MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+#: Inline code spans (one line; fenced blocks are stripped first).
+_CODE_SPAN = re.compile(r"`([^`\n]+)`")
+
+#: A dotted name rooted at the package — ``repro.engine.warm_start``.
+_REPRO_NAME = re.compile(r"(?<![\w.-])repro(?:\.[A-Za-z_]\w*)+")
 
 
 def console_scripts(setup_py: Path) -> list[str]:
@@ -46,6 +55,36 @@ def local_link_targets(markdown: Path) -> list[str]:
             continue
         targets.append(target.split("#", 1)[0])
     return targets
+
+
+def repro_names(markdown: Path) -> list[str]:
+    """Dotted ``repro.…`` names inside *markdown*'s inline code spans."""
+    text = markdown.read_text(encoding="utf-8")
+    text = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
+    names = []
+    for span in _CODE_SPAN.findall(text):
+        names.extend(_REPRO_NAME.findall(span))
+    return names
+
+
+def resolves(dotted: str) -> bool:
+    """Whether *dotted* names an importable module or an attribute
+    reachable from one (``repro.engine.session.SchedulingSession.mindist``)."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        module = ".".join(parts[:cut])
+        try:
+            target = importlib.import_module(module)
+        except ModuleNotFoundError as exc:
+            if exc.name == module or module.startswith(f"{exc.name}."):
+                continue  # *module* itself is missing: try a shorter one
+            raise
+        for attribute in parts[cut:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
 
 
 def check_docs(repo_root: Path) -> list[str]:
@@ -87,6 +126,18 @@ def check_docs(repo_root: Path) -> list[str]:
                     f"{markdown.relative_to(repo_root)} links to "
                     f"{target!r}, which does not exist"
                 )
+
+    named = [readme, repo_root / "PERFORMANCE.md",
+             *sorted((repo_root / "docs").glob("*.md"))]
+    for markdown in named:
+        if not markdown.exists():
+            continue
+        for name in sorted(set(repro_names(markdown))):
+            if not resolves(name):
+                problems.append(
+                    f"{markdown.relative_to(repo_root)} names `{name}`, "
+                    "which does not import"
+                )
     return problems
 
 
@@ -97,7 +148,8 @@ def main(argv: list[str] | None = None) -> int:
         for problem in problems:
             print(f"  !! {problem}")
         return 1
-    print("check_docs: ok (README covers every entry point and scheduler)")
+    print("check_docs: ok (README covers every entry point and scheduler; "
+          "every documented repro name imports)")
     return 0
 
 

@@ -39,11 +39,7 @@ from repro.core.ordering import OrderingResult, hrms_order
 from repro.engine.session import SchedulingSession
 from repro.graph.ddg import DependenceGraph
 from repro.machine.machine import MachineModel
-from repro.schedulers.base import (
-    ModuloScheduler,
-    bidirectional_attempt,
-    neighbor_directed_attempt,
-)
+from repro.schedulers.base import ModuloScheduler, bidirectional_ladder
 
 
 class HRMSScheduler(ModuloScheduler):
@@ -73,45 +69,7 @@ class HRMSScheduler(ModuloScheduler):
         context: Any,
     ) -> dict[str, int] | None:
         ordering: OrderingResult = context
-        result = bidirectional_attempt(session, ii, ordering.order,
-                                       both_down=False)
-        if result is not None:
-            return result
-        # Fallback for overlapping recurrences: a node constrained from
-        # both sides that the paper's ES-upward scan pins at its earliest
-        # cycle can leave a later recurrence node an *empty* window that
-        # no II increase repairs (the gap between the two bounds is
-        # II-invariant).  Retrying with the two-sided windows scanned from
-        # the LateStart end resolves those cases without affecting
-        # recurrence-free loops, which never produce two-sided windows.
-        result = bidirectional_attempt(session, ii, ordering.order,
-                                       both_down=True)
-        if result is not None:
-            return result
-        # Last resort: the paper's own direction rule.  The transitive
-        # MinDist bounds give almost every operation *both* an ES and an
-        # LS once a recurrence node is placed, so the directional
-        # attempts above scan nearly everything ASAP — and an operation
-        # whose only *scheduled direct neighbours* are successors gets
-        # pinned at its transitive EarlyStart, which can freeze a later
-        # recurrence closer into a one-cycle window parked on an occupied
-        # row at every II (found by the QA fuzzing campaign; see
-        # tests/corpus/).  Classifying the scan direction by scheduled
-        # direct neighbours — Section 3.3's actual rule — while keeping
-        # the transitive bounds as the window *limits* resolves those
-        # loops, usually at the MII itself.  It runs only after both
-        # standard attempts failed, so every previously-schedulable loop
-        # keeps its bit-identical schedule.
-        for closers_down, stagger in (
-            (False, 0), (True, 0), (False, 1), (True, 1),
-        ):
-            result = neighbor_directed_attempt(
-                session, ii, ordering.order,
-                closers_down=closers_down, stagger=stagger,
-            )
-            if result is not None:
-                return result
-        return None
+        return bidirectional_ladder(session, ii, ordering.order)
 
     def ordering_for(
         self, graph: DependenceGraph, machine: MachineModel

@@ -7,12 +7,12 @@ partial schedule.  The seed implementation recomputed both from scratch
 inside every II attempt; this package factors the II-independent
 structure out once per graph and keeps the per-II work vectorized:
 
-* :class:`~repro.engine.mindist.MinDistSolver` — factors a graph into
-  per-edge index/latency/distance arrays, assembles ``W(II) = L - II*Δ``
-  vectorized, runs the Floyd–Warshall sweep with NO_PATH saturation, and
-  memoizes ``(graph, II) -> (dist, names)`` (including infeasible ``None``
-  results) so the driver's II+1 retries and the two-pass HRMS attempt hit
-  the cache instead of re-solving.
+* :func:`~repro.engine.mindist.solve` — the pure MinDist solve: a
+  graph is factored once (:func:`~repro.engine.mindist.factorise`) into
+  per-edge index/latency/distance arrays, ``W(II) = L - II*Δ`` is
+  assembled vectorized, and one Floyd–Warshall sweep runs with NO_PATH
+  saturation.  It keeps no state and is the reference every faster path
+  is checked against.
 * :class:`~repro.engine.sweep.MinDistSweep` — the II-sweep solver: it
   materialises MinDist once at the search's base II and advances to each
   successive II with an O(n²) shift of the (value, slope) closure plus an
@@ -29,18 +29,15 @@ structure out once per graph and keeps the per-II work vectorized:
   vectorized transitive EarlyStart/LateStart bounds: one O(n) NumPy
   update per placement instead of an O(n) Python loop per *query*.
 
-The cached matrices are returned read-only and shared between callers;
+There is one MinDist path: scheduler → session → sweep → ``solve``.
+The matrices it returns are read-only and shared between callers;
 treat them as immutable.
 """
 
 from repro.engine.mindist import (
     NO_PATH,
-    MinDistSolver,
-    cyclic_asap,
-    default_solver,
     fingerprint_digest,
     graph_fingerprint,
-    mindist_matrix,
     warm_start,
 )
 from repro.engine.session import (
@@ -54,17 +51,13 @@ from repro.engine.windows import StartBounds
 
 __all__ = [
     "NO_PATH",
-    "MinDistSolver",
     "MinDistSweep",
     "SchedulingSession",
     "SessionCache",
     "StartBounds",
     "SweepCrossCheckError",
-    "cyclic_asap",
-    "default_solver",
     "fingerprint_digest",
     "graph_fingerprint",
-    "mindist_matrix",
     "session_for",
     "shared_session_cache",
     "warm_start",

@@ -1,4 +1,4 @@
-"""Cached, vectorized MinDist solving.
+"""Pure, vectorized MinDist solving.
 
 ``mindist[u][v]`` is the maximum, over all dependence paths from ``u`` to
 ``v``, of ``sum(latency(x) for x on the path except v) - II * sum(delta)``
@@ -7,55 +7,33 @@ feasible II (``II >= RecMII``) every dependence cycle has non-positive
 weight, so Floyd–Warshall converges; a positive diagonal entry flags an
 infeasible II.
 
-The matrix is expensive (O(n^3)) and the II search recomputes it at every
-candidate II — twice per II for HRMS's two directional passes.  The edge
-weights, however, are an affine function of the II: ``W(II) = L - II*Δ``
-per edge.  :class:`MinDistSolver` therefore factors each graph **once**
-into per-edge index/latency/distance arrays, assembles ``W(II)``
-vectorized, and memoizes the solved matrix per ``(graph, II)`` — repeated
-queries (the driver's II+1 retries, HRMS's second pass, ``cyclic_asap``)
-return the cached array in O(1).
-
-Cached matrices are marked read-only and shared between callers.  A
-structural fingerprint (operations, latencies, edge keys) is re-checked
-on every query, so mutating a graph between queries safely invalidates
-its cache entry.
+The edge weights are an affine function of the II: ``W(II) = L - II*Δ``
+per edge.  :func:`factorise` therefore splits a graph **once** into
+per-edge index/latency/distance arrays, and :func:`solve` assembles
+``W(II)`` vectorized and runs one Floyd–Warshall sweep with NO_PATH
+saturation.  ``solve`` keeps no state: memoization and the incremental
+II+1 advance live in :class:`repro.engine.sweep.MinDistSweep`, which
+every scheduler reaches through its
+:class:`~repro.engine.session.SchedulingSession`.  The pure solve is
+also the reference the sweep's cross-check and the tests compare
+against.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import threading
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.graph.ddg import DependenceGraph
-from repro.obs import trace
 
 #: Sentinel for "no path" — avoids -inf arithmetic warnings.
 NO_PATH = -(10**9)
 
 #: Entries at or below this threshold mean "no constraint".
 _NO_PATH_CUTOFF = NO_PATH // 2
-
-#: Default per-graph byte budget of the (II -> matrix) memo.  Paper-scale
-#: loops (tens of operations, KB-sized matrices) never evict, and even
-#: the 512-op scalability tier's ~55-II search (~115 MB) fits, so warm
-#: re-runs replay the whole sweep from cache.  The budget exists to
-#: bound pathological cases: an LRU shorter than a monotone II sweep
-#: would evict exactly the entries the *next* sweep asks for first, so
-#: prefer a budget that fits the sweep over a tight window.
-_DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
-
-#: Entries every graph may keep regardless of the byte budget (the
-#: current II's second directional pass and its close neighbours).
-_MIN_CACHED_IIS = 4
-
-#: Cache-miss sentinel (``None`` is a valid cached value: infeasible II).
-_MISSING = object()
 
 
 def graph_fingerprint(graph: DependenceGraph) -> tuple:
@@ -64,8 +42,8 @@ def graph_fingerprint(graph: DependenceGraph) -> tuple:
     Covers every operation field that influences scheduling or the
     derived metrics (latency for MinDist, opclass for resource binding,
     ``produces_value`` for lifetimes/MaxLive), so two graphs with equal
-    fingerprints schedule identically on the same machine.  The solver
-    uses it for cache invalidation and the parallel experiment runner
+    fingerprints schedule identically on the same machine.  The sweep
+    uses it to notice a mutated graph and the parallel experiment runner
     for per-loop result caching.
     """
     return (
@@ -102,7 +80,6 @@ class _GraphFactors:
     the matrix.
     """
 
-    fingerprint: tuple
     names: list[str]
     src: np.ndarray
     dst: np.ndarray
@@ -110,16 +87,10 @@ class _GraphFactors:
     delta: np.ndarray
     self_lat: np.ndarray
     self_delta: np.ndarray
-    #: II -> (dist, names) or None (infeasible II — also memoized),
-    #: insertion-ordered oldest-first (LRU via move-to-end on hit).
-    cache: dict[int, tuple[np.ndarray, list[str]] | None] = field(
-        default_factory=dict
-    )
-    #: Bytes held by the cached matrices (None entries cost nothing).
-    cached_bytes: int = 0
 
 
-def _factorise(graph: DependenceGraph, fingerprint: tuple) -> _GraphFactors:
+def factorise(graph: DependenceGraph) -> _GraphFactors:
+    """Split *graph* into the per-edge arrays :func:`solve` consumes."""
     names = graph.node_names()
     index = {name: i for i, name in enumerate(names)}
     src: list[int] = []
@@ -140,7 +111,6 @@ def _factorise(graph: DependenceGraph, fingerprint: tuple) -> _GraphFactors:
             lat.append(latency)
             delta.append(edge.distance)
     return _GraphFactors(
-        fingerprint=fingerprint,
         names=names,
         src=np.asarray(src, dtype=np.int64),
         dst=np.asarray(dst, dtype=np.int64),
@@ -151,145 +121,36 @@ def _factorise(graph: DependenceGraph, fingerprint: tuple) -> _GraphFactors:
     )
 
 
-class MinDistSolver:
-    """Memoizing MinDist solver shared by every scheduler.
+def solve(
+    factors: _GraphFactors, ii: int
+) -> tuple[np.ndarray, list[str]] | None:
+    """The MinDist matrix at *ii*, or ``None`` if *ii* is infeasible.
 
-    One solver instance can serve any number of graphs; entries are held
-    through weak references, so dropping a graph drops its cache.
+    Returns ``(matrix, names)`` with rows/columns indexed by *names*
+    (program order).  The matrix is read-only; ``matrix[i, j] <=
+    NO_PATH / 2`` means "no constraint".
     """
+    if factors.self_lat.size and np.any(
+        factors.self_lat - factors.self_delta * ii > 0
+    ):
+        return None  # self-dependence violated at this II
+    n = len(factors.names)
+    dist = np.full((n, n), NO_PATH, dtype=np.int64)
+    if factors.src.size:
+        weights = factors.lat - factors.delta * ii
+        np.maximum.at(dist, (factors.src, factors.dst), weights)
 
-    def __init__(self, cache_bytes: int = _DEFAULT_CACHE_BYTES) -> None:
-        self._graphs: "weakref.WeakKeyDictionary[DependenceGraph, _GraphFactors]" = (
-            weakref.WeakKeyDictionary()
-        )
-        self._cache_bytes = cache_bytes
-        # Guards the cache bookkeeping (lookup/insert/evict, counters,
-        # byte accounting): the portfolio racer solves the *same* graph
-        # from several threads at once.  The O(n^3) solve itself runs
-        # outside the lock.
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
+    for k in range(n):
+        via = dist[:, k, None] + dist[None, k, :]
+        np.maximum(dist, via, out=dist)
+        # Keep "no path" saturated so chained NO_PATH values cannot
+        # creep upward into the feasible range.
+        dist[dist < _NO_PATH_CUTOFF] = NO_PATH
 
-    # ------------------------------------------------------------------
-    def solve(
-        self, graph: DependenceGraph, ii: int
-    ) -> tuple[np.ndarray, list[str]] | None:
-        """Cached equivalent of the seed's ``mindist_matrix``.
-
-        Returns ``(matrix, names)`` with rows/columns indexed by *names*
-        (program order), or ``None`` if *ii* is infeasible.  The matrix
-        is read-only and shared; ``matrix[i, j] <= NO_PATH / 2`` means
-        "no constraint".
-        """
-        # The fingerprint is O(ops+edges) and touches no shared state;
-        # computing it outside the lock keeps unrelated graphs (service
-        # workers, the parallel runner) from serializing on it.
-        fingerprint = graph_fingerprint(graph)
-        sentinel = _MISSING
-        with self._lock:
-            factors = self._factors(graph, fingerprint)
-            cached = factors.cache.get(ii, sentinel)
-            if cached is not sentinel:
-                self.hits += 1
-                factors.cache.pop(ii)  # LRU: move to the young end
-                factors.cache[ii] = cached
-                return cached
-            self.misses += 1
-        # Solve outside the lock; concurrent first requests for the same
-        # (graph, II) may duplicate this work, but the results are
-        # identical and only the first writer charges the byte budget.
-        # Only the miss path is traced: warm hits are microseconds and
-        # sit inside the per-attempt hot loop.
-        if trace.ACTIVE is None:
-            result = self._solve_uncached(factors, ii)
-        else:
-            with trace.span("mindist.solve", ii=ii, ops=len(graph)):
-                result = self._solve_uncached(factors, ii)
-        with self._lock:
-            if ii not in factors.cache:
-                factors.cache[ii] = result
-                factors.cached_bytes += (
-                    0 if result is None else result[0].nbytes
-                )
-                while (
-                    factors.cached_bytes > self._cache_bytes
-                    and len(factors.cache) > _MIN_CACHED_IIS
-                ):
-                    evicted = factors.cache.pop(next(iter(factors.cache)))
-                    factors.cached_bytes -= (
-                        0 if evicted is None else evicted[0].nbytes
-                    )
-        return result
-
-    def cyclic_asap(
-        self, graph: DependenceGraph, ii: int
-    ) -> dict[str, int] | None:
-        """Earliest issue cycles respecting loop-carried dependences.
-
-        ``t(v) = max(0, max_u mindist[u][v])`` — the unconstrained-resource
-        ASAP schedule of the cyclic graph.  ``None`` when *ii* is
-        infeasible.  A fresh dict is returned on every call.
-        """
-        result = self.solve(graph, ii)
-        if result is None:
-            return None
-        dist, names = result
-        asap = np.maximum(dist.max(axis=0), 0)
-        return {name: int(asap[i]) for i, name in enumerate(names)}
-
-    def clear(self) -> None:
-        """Drop every cached factorisation and matrix."""
-        with self._lock:
-            self._graphs.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def cache_info(self) -> dict[str, int]:
-        """Hit/miss counters plus the number of live graph entries."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "graphs": len(self._graphs),
-        }
-
-    # ------------------------------------------------------------------
-    def _factors(
-        self, graph: DependenceGraph, fingerprint: tuple | None = None
-    ) -> _GraphFactors:
-        if fingerprint is None:
-            fingerprint = graph_fingerprint(graph)
-        factors = self._graphs.get(graph)
-        if factors is None or factors.fingerprint != fingerprint:
-            factors = _factorise(graph, fingerprint)
-            self._graphs[graph] = factors
-        return factors
-
-    @staticmethod
-    def _solve_uncached(
-        factors: _GraphFactors, ii: int
-    ) -> tuple[np.ndarray, list[str]] | None:
-        if factors.self_lat.size and np.any(
-            factors.self_lat - factors.self_delta * ii > 0
-        ):
-            return None  # self-dependence violated at this II
-        n = len(factors.names)
-        dist = np.full((n, n), NO_PATH, dtype=np.int64)
-        if factors.src.size:
-            weights = factors.lat - factors.delta * ii
-            np.maximum.at(dist, (factors.src, factors.dst), weights)
-
-        for k in range(n):
-            via = dist[:, k, None] + dist[None, k, :]
-            np.maximum(dist, via, out=dist)
-            # Keep "no path" saturated so chained NO_PATH values cannot
-            # creep upward into the feasible range.
-            dist[dist < _NO_PATH_CUTOFF] = NO_PATH
-
-        if np.any(np.diag(dist) > 0):
-            return None
-        dist.setflags(write=False)
-        return dist, factors.names
+    if np.any(np.diag(dist) > 0):
+        return None
+    dist.setflags(write=False)
+    return dist, factors.names
 
 
 def warm_start() -> None:
@@ -299,12 +160,14 @@ def warm_start() -> None:
     :mod:`repro.experiments.procmap`) call this from their worker
     initializers so the first *real* request does not pay the one-time
     costs: importing the scheduler stack, materialising the lazy
-    registry, and the first NumPy ufunc dispatch of the Floyd–Warshall
-    sweep.  The probe graph is local to this function, so its weakly
-    referenced cache entry evaporates as soon as the warm-up returns —
-    the shared solver stays empty of persistent state.
+    registry, and the first NumPy ufunc dispatch of the plain and
+    slope-augmented Floyd–Warshall sweeps.  The probe runs in one
+    throwaway :class:`~repro.engine.session.SchedulingSession`, so no
+    state outlives the call.
     """
+    from repro.engine.session import SchedulingSession
     from repro.graph.builder import GraphBuilder
+    from repro.machine.configs import motivating_machine
     from repro.schedulers.registry import _factories
 
     _factories()  # import every scheduler (incl. the lazy HRMS/portfolio)
@@ -315,31 +178,6 @@ def warm_start() -> None:
         .edge("b", "a", distance=1)
         .build()
     )
-    solver = MinDistSolver()
-    solver.solve(graph, 1)
-    solver.cyclic_asap(graph, 2)
-
-
-#: Process-wide solver every scheduler shares by default.
-_DEFAULT_SOLVER = MinDistSolver()
-
-
-def default_solver() -> MinDistSolver:
-    """The process-wide shared solver."""
-    return _DEFAULT_SOLVER
-
-
-def mindist_matrix(
-    graph: DependenceGraph, ii: int
-) -> tuple[np.ndarray, list[str]] | None:
-    """Floyd–Warshall longest-path matrix, or ``None`` if II is infeasible.
-
-    Cached: repeated queries for the same graph and II return the same
-    (read-only) array.
-    """
-    return _DEFAULT_SOLVER.solve(graph, ii)
-
-
-def cyclic_asap(graph: DependenceGraph, ii: int) -> dict[str, int] | None:
-    """Cached cyclic-ASAP row of the MinDist matrix (see the solver)."""
-    return _DEFAULT_SOLVER.cyclic_asap(graph, ii)
+    session = SchedulingSession(graph, motivating_machine(1))
+    session.mindist(1)
+    session.cyclic_asap(2)

@@ -9,8 +9,8 @@ down by exactly its distance sum.  :class:`MinDistSweep` exploits that
 structure:
 
 * the first solve of a sweep is the plain vectorized Floyd–Warshall
-  (identical cost to the memoized solver — single-attempt searches pay
-  nothing);
+  (:func:`repro.engine.mindist.solve` — single-attempt searches pay
+  nothing extra);
 * the first *advance* (a request for ``base+1``) runs one
   slope-augmented Floyd–Warshall over the lexicographic
   ``(max value, min slope)`` semiring, recording for every pair the
@@ -41,11 +41,12 @@ import numpy as np
 from repro.engine.mindist import (
     NO_PATH,
     _NO_PATH_CUTOFF,
-    MinDistSolver,
-    _factorise,
+    factorise,
     graph_fingerprint,
+    solve,
 )
 from repro.graph.ddg import DependenceGraph
+from repro.obs import trace
 
 #: Matrices memoized per sweep beyond the advancing base (HRMS's second
 #: directional pass and a lagging portfolio member are re-hits; a full
@@ -68,8 +69,8 @@ class SweepCrossCheckError(AssertionError):
 class MinDistSweep:
     """Sweeping MinDist state for one graph.
 
-    ``solve(ii)`` matches :meth:`MinDistSolver.solve`'s contract —
-    ``(dist, names)`` read-only, or ``None`` for an infeasible II — but
+    ``solve(ii)`` matches :func:`repro.engine.mindist.solve`'s contract
+    — ``(dist, names)`` read-only, or ``None`` for an infeasible II — but
     consecutive IIs are advanced incrementally instead of re-solved.
 
     ``incremental=False`` disables the advance path (every miss is a
@@ -92,7 +93,7 @@ class MinDistSweep:
         self._memo_entries = max(1, memo_entries)
         self._lock = threading.Lock()
         self._fingerprint = graph_fingerprint(graph)
-        self._factors = _factorise(graph, self._fingerprint)
+        self._factors = factorise(graph)
         #: II -> (dist, names) | None, LRU oldest-first.
         self._memo: "OrderedDict[int, tuple[np.ndarray, list[str]] | None]" = (
             OrderedDict()
@@ -139,9 +140,9 @@ class MinDistSweep:
         fingerprint = graph_fingerprint(self._graph)
         if fingerprint != self._fingerprint:
             # The graph mutated under the sweep: every derived state is
-            # stale.  Match MinDistSolver's semantics and start over.
+            # stale, so start over from a fresh factorisation.
             self._fingerprint = fingerprint
-            self._factors = _factorise(self._graph, fingerprint)
+            self._factors = factorise(self._graph)
             self._memo.clear()
             self._base_ii = None
             self._base_dist = None
@@ -180,6 +181,19 @@ class MinDistSweep:
         self, ii: int, with_slopes: bool
     ) -> tuple[np.ndarray, list[str]] | None:
         self.fresh_solves += 1
+        if trace.ACTIVE is None:
+            return self._fresh_untraced(ii, with_slopes)
+        with trace.span(
+            "mindist.solve",
+            ii=ii,
+            ops=len(self._factors.names),
+            slopes=with_slopes,
+        ):
+            return self._fresh_untraced(ii, with_slopes)
+
+    def _fresh_untraced(
+        self, ii: int, with_slopes: bool
+    ) -> tuple[np.ndarray, list[str]] | None:
         factors = self._factors
         if with_slopes:
             solved = self._solve_with_slopes(ii)
@@ -189,7 +203,7 @@ class MinDistSweep:
             dist.setflags(write=False)
             self._adopt(ii, dist, slope)
             return dist, factors.names
-        result = MinDistSolver._solve_uncached(factors, ii)
+        result = solve(factors, ii)
         if result is None:
             return None
         if self._base_ii is None or ii >= self._base_ii:
@@ -241,7 +255,7 @@ class MinDistSweep:
         return cand
 
     def _assert_matches_fresh(self, ii: int, cand: np.ndarray) -> None:
-        fresh = MinDistSolver._solve_uncached(self._factors, ii)
+        fresh = solve(self._factors, ii)
         if fresh is None or not np.array_equal(cand, fresh[0]):
             raise SweepCrossCheckError(
                 f"incremental MinDist advance diverged from the fresh "

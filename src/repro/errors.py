@@ -43,6 +43,14 @@ class ZeroDistanceCycleError(GraphError):
     """
 
 
+class CircuitLimitExceeded(GraphError):
+    """A graph has more elementary circuits than the configured cap.
+
+    Deterministic for a given graph and cap, so a retry cannot help:
+    the service fails such a job on its first attempt.
+    """
+
+
 class MachineError(ReproError):
     """A machine model description is invalid."""
 

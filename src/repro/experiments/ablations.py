@@ -30,7 +30,6 @@ from repro.schedulers.base import (
     downward_window,
     early_start,
     late_start,
-    scan_place,
     upward_window,
 )
 from repro.workloads.loops import Loop
@@ -126,7 +125,7 @@ class ProgramOrderScheduler(ModuloScheduler):
                 window = upward_window(es, ii, ls)
             else:
                 window = upward_window(0, ii)
-            cycle = scan_place(mrt, op, window)
+            cycle = mrt.scan_place(op, window)
             if cycle is None:
                 return None
             start[name] = cycle

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import CircuitLimitExceeded
 from repro.graph.ddg import DependenceGraph
 from repro.graph.edges import Edge
 
@@ -49,10 +50,6 @@ class Circuit:
         return frozenset(
             edge.key for edge in self.edges if edge.distance > 0
         )
-
-
-class CircuitLimitExceeded(RuntimeError):
-    """More elementary circuits than the configured cap."""
 
 
 def _min_distance_edge(graph: DependenceGraph, src: str, dst: str) -> Edge:

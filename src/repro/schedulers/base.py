@@ -28,7 +28,6 @@ from repro.errors import IterationLimitError
 from repro.obs import trace
 from repro.graph.ddg import DependenceGraph
 from repro.machine.machine import MachineModel
-from repro.machine.mrt import ModuloReservationTable
 from repro.mii.analysis import MIIResult
 from repro.schedule.schedule import Schedule, ScheduleStats
 
@@ -68,19 +67,6 @@ def late_start(
         candidate = start[edge.dst] - latency + edge.distance * ii
         bound = candidate if bound is None else min(bound, candidate)
     return bound
-
-
-def scan_place(
-    mrt: ModuloReservationTable,
-    op,
-    candidates: Iterable[int],
-) -> int | None:
-    """Place *op* at the first candidate cycle with a free unit.
-
-    Delegates to the MRT's vectorized whole-window scan, which tests
-    every candidate row in one rolled-mask operation.
-    """
-    return mrt.scan_place(op, candidates)
 
 
 def default_ii_limit(graph: DependenceGraph, mii: int) -> int:
@@ -166,7 +152,7 @@ def neighbor_directed_attempt(
             if len(cycles) > 1:
                 shift = stagger % len(cycles)
                 candidates = cycles[shift:] + cycles[:shift]
-        cycle = scan_place(mrt, op, candidates)
+        cycle = mrt.scan_place(op, candidates)
         if cycle is None:
             return None
         start[name] = cycle
@@ -188,7 +174,7 @@ def bidirectional_attempt(
     upward when only predecessors constrain it, downward when only
     successors do, two-sided for recurrence closers.  ``both_down``
     anchors the two-sided scan at the LateStart end instead (the rescue
-    for windows wider than II; see the HRMS scheduler's notes).
+    for windows wider than II; see :func:`bidirectional_ladder`).
     """
     graph = session.graph
     bounds = session.start_bounds(ii)
@@ -217,12 +203,70 @@ def bidirectional_attempt(
                 window = upward_window(es, ii, ls)
         else:
             window = upward_window(0, ii)
-        cycle = scan_place(mrt, op, window)
+        cycle = mrt.scan_place(op, window)
         if cycle is None:
             return None
         start[name] = cycle
         bounds.place(index[name], cycle)
     return start
+
+
+def bidirectional_ladder(
+    session: SchedulingSession,
+    ii: int,
+    order: list[str],
+) -> dict[str, int] | None:
+    """The six-pass placement ladder HRMS and SMS share at one II.
+
+    The passes run in a fixed order and the first that places every
+    operation wins, so every loop an earlier pass schedules keeps its
+    bit-identical schedule:
+
+    1. :func:`bidirectional_attempt` — the paper's ES-upward scan.
+    2. :func:`bidirectional_attempt` with ``both_down`` — the fallback
+       for overlapping recurrences: a node constrained from both sides
+       that the ES-upward scan pins at its earliest cycle can leave a
+       later recurrence node an *empty* window that no II increase
+       repairs (the gap between the two bounds is II-invariant).
+       Scanning the two-sided windows from the LateStart end resolves
+       those cases without affecting recurrence-free loops, which never
+       produce two-sided windows.
+    3.–6. :func:`neighbor_directed_attempt` over ``(closers_down,
+       stagger)`` = ``(False, 0), (True, 0), (False, 1), (True, 1)`` —
+       the last resort.  The transitive MinDist bounds give almost
+       every operation *both* an ES and an LS once a recurrence node is
+       placed, so the passes above scan nearly everything ASAP, and an
+       operation whose only *scheduled direct neighbours* are
+       successors gets pinned at its transitive EarlyStart, which can
+       freeze a later recurrence closer into a one-cycle window parked
+       on an occupied row at every II (found by the QA fuzzing
+       campaign; see ``tests/corpus/``).  Classifying the scan
+       direction by scheduled direct neighbours — Section 3.3's actual
+       rule — while keeping the transitive bounds as the window
+       *limits*, and failing that the staggered scan that keeps
+       boundary cycles free, resolves those loops, usually at the MII
+       itself.
+
+    HRMS and SMS each keep a one-line ``attempt`` of their own that
+    calls this helper, so instrumentation that wraps a class's own
+    ``attempt`` (the perfbench layer tracer) still sees both.
+    """
+    for both_down in (False, True):
+        result = bidirectional_attempt(
+            session, ii, order, both_down=both_down
+        )
+        if result is not None:
+            return result
+    for closers_down, stagger in (
+        (False, 0), (True, 0), (False, 1), (True, 1),
+    ):
+        result = neighbor_directed_attempt(
+            session, ii, order,
+            closers_down=closers_down, stagger=stagger,
+        )
+        if result is not None:
+            return result
+    return None
 
 
 def sequential_fallback_schedule(

@@ -28,11 +28,11 @@ from typing import Any
 
 import numpy as np
 
+from repro.engine import NO_PATH
 from repro.engine.session import SchedulingSession
 from repro.graph.ddg import DependenceGraph
 from repro.machine.mrt import ModuloReservationTable
 from repro.schedulers.base import ModuloScheduler, early_start
-from repro.schedulers.mindist import NO_PATH
 
 
 class IMSScheduler(ModuloScheduler):

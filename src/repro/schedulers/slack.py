@@ -22,11 +22,11 @@ from typing import Any
 
 import numpy as np
 
+from repro.engine import NO_PATH
 from repro.engine.session import SchedulingSession
 from repro.graph.ddg import DependenceGraph
 from repro.machine.mrt import ModuloReservationTable
 from repro.schedulers.base import ModuloScheduler
-from repro.schedulers.mindist import NO_PATH
 
 
 class SlackScheduler(ModuloScheduler):

@@ -31,12 +31,7 @@ import numpy as np
 
 from repro.engine.session import SchedulingSession
 from repro.graph.ddg import DependenceGraph
-from repro.schedulers.base import (
-    ModuloScheduler,
-    bidirectional_attempt,
-    neighbor_directed_attempt,
-)
-from repro.schedulers.mindist import mindist_matrix
+from repro.schedulers.base import ModuloScheduler, bidirectional_ladder
 
 
 class SwingScheduler(ModuloScheduler):
@@ -46,9 +41,7 @@ class SwingScheduler(ModuloScheduler):
 
     def prepare(self, session: SchedulingSession) -> list[str]:
         mii = session.analysis.mii
-        return swing_order(
-            session.graph, mii, solved=session.mindist(max(mii, 1))
-        )
+        return swing_order(session.graph, session.mindist(max(mii, 1)))
 
     def attempt(
         self,
@@ -56,45 +49,15 @@ class SwingScheduler(ModuloScheduler):
         ii: int,
         context: Any,
     ) -> dict[str, int] | None:
-        order: list[str] = context
-        result = bidirectional_attempt(session, ii, order,
-                                       both_down=False)
-        if result is not None:
-            return result
-        # Same rescue as HRMS: an ES-anchored II-length window can miss
-        # the feasible region of a two-sided node when LS - ES > II.
-        result = bidirectional_attempt(session, ii, order,
-                                       both_down=True)
-        if result is not None:
-            return result
-        # Same last resort as HRMS (see neighbor_directed_attempt): the
-        # transitive-bound classification can pin a node into an
-        # II-invariant one-cycle window; the paper's scheduled-neighbour
-        # direction rule — and, failing that, the staggered scan that
-        # keeps boundary cycles free — unsticks those loops.
-        for closers_down, stagger in (
-            (False, 0), (True, 0), (False, 1), (True, 1),
-        ):
-            result = neighbor_directed_attempt(
-                session, ii, order,
-                closers_down=closers_down, stagger=stagger,
-            )
-            if result is not None:
-                return result
-        return None
+        return bidirectional_ladder(session, ii, context)
 
 
-def swing_order(
-    graph: DependenceGraph, mii: int, solved=None
-) -> list[str]:
+def swing_order(graph: DependenceGraph, solved) -> list[str]:
     """The SMS node order: least mobility first, grown over neighbours.
 
-    ``solved`` accepts a precomputed MinDist result at ``max(mii, 1)``
-    (the scheduler passes its session's matrix through); without one
-    the shared solver is queried directly.
+    ``solved`` is the MinDist result at ``max(mii, 1)`` — the scheduler
+    passes its session's matrix through.
     """
-    if solved is None:
-        solved = mindist_matrix(graph, max(mii, 1))
     if solved is None:  # cannot happen for mii >= RecMII
         raise ValueError("infeasible MII for swing ordering")
     dist, names = solved

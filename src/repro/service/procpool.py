@@ -7,7 +7,7 @@ so thread workers cap at ~1 core no matter how many there are.  This
 module provides the drop-in process equivalent:
 
 * :class:`ExecutorConfig` — which backend (``"thread"`` or
-  ``"process"``), how many workers, retry policy, warm start.  The one
+  ``"process"``), how many workers, retry policy, tracing.  The one
   object ``hrms-serve --backend`` and in-process callers configure.
 * a **pickle-safe wire protocol** — a job crosses the process boundary
   as the same canonical ``{"kind", "request"}`` dict the store key is
@@ -18,8 +18,9 @@ module provides the drop-in process equivalent:
   :func:`_init_worker` once: it opens its own
   :class:`~repro.service.store.ArtifactStore` on the shared root,
   builds a :class:`~repro.service.executor.SchedulingExecutor` (whose
-  MinDist memo then lives for the worker's lifetime), instantiates the
-  machine-config catalog, and runs :func:`repro.engine.warm_start`.
+  scheduling-session cache then lives for the worker's lifetime),
+  instantiates the machine-config catalog, and runs
+  :func:`repro.engine.warm_start`.
 * :class:`ProcessWorkerPool` — same interface, queue discipline, retry
   semantics and ``on_finish`` contract as the thread pool.  Dispatcher
   threads in the parent pop the priority queue and block on the
@@ -70,14 +71,13 @@ class ExecutorConfig:
     best for warm stores and tiny jobs) or ``"process"`` (GIL-free,
     best for cold CPU-bound scheduling).  ``workers=None`` means auto
     (:class:`~repro.service.jobs.WorkerPool`'s core-count default).
-    ``warm_start`` controls whether process workers pre-warm the engine
-    and machine-config caches in their initializer.
+    Process workers always pre-warm the engine and machine-config
+    caches in their initializer.
     """
 
     backend: str = "thread"
     workers: int | None = None
     max_attempts: int = 2
-    warm_start: bool = True
     #: Seconds :meth:`WorkerPool.stop` waits for each worker thread.
     join_timeout: float = 10.0
     #: Transient-retry backoff curve (exponential, jittered, capped).
@@ -139,17 +139,19 @@ _WORKER_EXECUTOR = None
 _WORKER_METRICS: ServiceMetrics | None = None
 
 
-def _init_worker(
-    store_root: str, warm_start: bool, tracing: bool = False
-) -> None:
+def _init_worker(store_root: str, tracing: bool = False) -> None:
     """Build this worker process's executor and warm its caches.
 
     Runs exactly once per worker process (the pool initializer).  The
-    executor — and with it the MinDistSolver memo, the study cache memo
-    and the machine catalog — lives for the whole worker lifetime, so
-    repeated jobs over the same graphs hit warm per-process caches.
+    executor — and with it the scheduling-session cache (shared MII
+    analyses and MinDist sweeps), the study cache memo and the machine
+    catalog — lives for the whole worker lifetime, so repeated jobs
+    over the same graphs hit warm per-process caches.  The engine and
+    the machine catalog are warmed before the first job arrives.
     """
     global _WORKER_EXECUTOR, _WORKER_METRICS
+    from repro.engine import warm_start
+    from repro.machine.configs import canonical_machines
     from repro.service.executor import SchedulingExecutor
     from repro.service.store import ArtifactStore
 
@@ -161,12 +163,8 @@ def _init_worker(
         # Worker-side spans collect locally and ride back to the parent
         # in the result envelope (see run_wire_job).
         trace.arm()
-    if warm_start:
-        from repro.engine import warm_start as warm_engine
-        from repro.machine.configs import canonical_machines
-
-        canonical_machines()
-        warm_engine()
+    canonical_machines()
+    warm_start()
 
 
 def job_wire(job: Job) -> dict:
@@ -309,7 +307,6 @@ class ProcessWorkerPool(WorkerPool):
         workers: int | None = None,
         on_finish: Callable[[Job], None] | None = None,
         metrics: ServiceMetrics | None = None,
-        warm_start: bool = True,
         join_timeout: float = 10.0,
         retry_policy: RetryPolicy | None = None,
         tracing: bool = False,
@@ -326,7 +323,6 @@ class ProcessWorkerPool(WorkerPool):
         )
         self._store_root = str(store_root)
         self._metrics = metrics
-        self._warm_start = warm_start
         self._tracing = tracing
         self._executor: ProcessPoolExecutor | None = None
         self._executor_lock = threading.Lock()
@@ -338,7 +334,7 @@ class ProcessWorkerPool(WorkerPool):
         return ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_init_worker,
-            initargs=(self._store_root, self._warm_start, self._tracing),
+            initargs=(self._store_root, self._tracing),
         )
 
     # ------------------------------------------------------------------
@@ -560,7 +556,6 @@ def make_worker_pool(
             workers=config.workers,
             on_finish=on_finish,
             metrics=metrics,
-            warm_start=config.warm_start,
             join_timeout=config.join_timeout,
             retry_policy=config.retry_policy(),
             tracing=config.tracing,

@@ -18,11 +18,9 @@ with millions of artifacts)::
             abcd12…ef.json  # {"schema": 1, "kind": …, "key": …,
                             #  "request": …, "payload": …}
 
-Two legacy layouts are read transparently and migrated on first touch
-(an ``os.replace`` into the sharded location, so the migration is atomic
-and idempotent): the single-level ``objects/ab/<key>.json`` fan-out of
-earlier versions, and the original flat ``objects/<key>.json``.  Reads
-prefer the sharded path; writes only ever produce it.
+This is the only layout: a read is one ``open()`` of the sharded path
+(a miss is that ``open()`` failing), and a write produces exactly that
+file.
 
 Envelopes carry a schema version and an ``integrity`` digest (SHA-256
 of the canonical envelope minus the digest itself), verified on every
@@ -114,46 +112,6 @@ class ArtifactStore:
             raise ArtifactError(f"malformed artifact key {key!r}")
         return self._objects / key[:2] / key[2:4] / f"{key}.json"
 
-    def _legacy_paths(self, key: str) -> tuple[Path, Path]:
-        """Where older store versions put *key* (read-only shim)."""
-        return (
-            self._objects / key[:2] / f"{key}.json",  # one-level fan-out
-            self._objects / f"{key}.json",  # original flat layout
-        )
-
-    def _locate(self, key: str) -> Path | None:
-        """The on-disk file currently holding *key*, canonical first."""
-        path = self._path_for(key)
-        if path.exists():
-            return path
-        for legacy in self._legacy_paths(key):
-            if legacy.exists():
-                return legacy
-        return None
-
-    def _migrate(self, legacy: Path, key: str) -> None:
-        """Best-effort atomic move of a legacy file to the sharded path.
-
-        Concurrent readers may race on the same legacy file; whoever
-        loses the ``os.replace`` simply finds the file already gone —
-        the content is equivalent either way (a key's envelope is
-        determined by its request), so errors are swallowed.  A
-        canonical file that already exists is left alone: a concurrent
-        ``put`` must not be clobbered by a stale legacy copy.
-        """
-        path = self._path_for(key)
-        if path.exists():
-            try:
-                legacy.unlink()
-            except OSError:
-                pass
-            return
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(legacy, path)
-        except OSError:
-            pass
-
     def key_for(self, request: dict) -> str:
         """Content address of *request* (alias of :func:`request_key`)."""
         return request_key(request)
@@ -192,8 +150,7 @@ class ArtifactStore:
         Every read is verified: unparseable JSON, a failed ``integrity``
         digest, a non-dict envelope, or a schema newer than this code
         understands moves the file to ``quarantine/`` and counts as a
-        miss (the caller recomputes).  A hit under a legacy layout is
-        migrated to the sharded path as a side effect.
+        miss (the caller recomputes).
         """
         if trace.ACTIVE is None:
             return self._get(key)
@@ -204,7 +161,7 @@ class ArtifactStore:
             return envelope
 
     def _get(self, key: str) -> dict | None:
-        path = self._locate(key) or self._path_for(key)
+        path = self._path_for(key)
         try:
             if faults.ACTIVE is not None and faults.ACTIVE.should_fire(
                 "store.get.io"
@@ -236,8 +193,6 @@ class ArtifactStore:
             with self._lock:
                 self._stats.misses += 1
             return None
-        if path != self._path_for(key):
-            self._migrate(path, key)
         with self._lock:
             self._stats.hits += 1
         return envelope
@@ -287,45 +242,33 @@ class ArtifactStore:
             except OSError:
                 pass
             raise
-        # A fresh write supersedes any legacy copy of the same key.
-        for legacy in self._legacy_paths(key):
-            try:
-                legacy.unlink()
-            except OSError:
-                pass
         with self._lock:
             self._stats.writes += 1
         return envelope
 
     def delete(self, key: str) -> bool:
-        """Remove *key* from whichever layout holds it; ``True`` if it
-        existed.  Real I/O failures (e.g. a read-only mount) propagate
-        — only "already gone" is silent."""
-        removed = False
-        for path in (self._path_for(key), *self._legacy_paths(key)):
-            try:
-                path.unlink()
-                removed = True
-            except FileNotFoundError:
-                pass
-        return removed
+        """Remove *key*; ``True`` if it existed.  Real I/O failures
+        (e.g. a read-only mount) propagate — only "already gone" is
+        silent."""
+        try:
+            self._path_for(key).unlink()
+        except FileNotFoundError:
+            return False
+        return True
 
     # ------------------------------------------------------------------
     def __contains__(self, key: str) -> bool:
-        return self._locate(key) is not None
+        return self._path_for(key).exists()
 
     def __len__(self) -> int:
         return sum(1 for _ in self.iter_keys())
 
     def iter_keys(self) -> Iterator[str]:
-        """All stored artifact keys (unordered), across every layout."""
-        seen: set[str] = set()
+        """All stored artifact keys (unordered)."""
         for entry in sorted(self._objects.rglob("*.json")):
             if entry.name.startswith(".tmp-"):
                 continue  # a torn concurrent write, not an artifact
-            if entry.stem not in seen:
-                seen.add(entry.stem)
-                yield entry.stem
+            yield entry.stem
 
     def stats(self) -> StoreStats:
         """A copy of the hit/miss counters."""

@@ -8,7 +8,13 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "scripts"))
 
-from check_docs import check_docs, console_scripts, local_link_targets  # noqa: E402
+from check_docs import (  # noqa: E402
+    check_docs,
+    console_scripts,
+    local_link_targets,
+    repro_names,
+    resolves,
+)
 
 
 class TestRepoDocs:
@@ -62,6 +68,26 @@ class TestGateTrips:
         problems = check_docs(repo)
         assert any("NOPE.md" in p for p in problems)
 
+    def test_dangling_repro_name_reported(self, tmp_path):
+        repo = self._repo(
+            tmp_path,
+            "hrms-serve hrms topdown bottomup slack sms ims frlc spilp "
+            "optreg portfolio `repro.engine.session.SchedulingSession` "
+            "`repro.engine.NoSuchSolver`",
+        )
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "X.md").write_text(
+            "See `repro.service.cancel` and `repro.cancel.check`.",
+            encoding="utf-8",
+        )
+        problems = check_docs(repo)
+        assert len(problems) == 2
+        assert any("`repro.engine.NoSuchSolver`" in p for p in problems)
+        assert any(
+            "docs/X.md" in p and "`repro.service.cancel`" in p
+            for p in problems
+        )
+
     def test_substring_does_not_satisfy_scheduler_mention(self, tmp_path):
         # "hrms-serve" must not count as a mention of scheduler "hrms"...
         # it does contain it as a word-boundary token, so use a harder
@@ -82,3 +108,21 @@ def test_link_targets_skip_external_urls(tmp_path):
         encoding="utf-8",
     )
     assert local_link_targets(md) == ["local.md"]
+
+
+def test_repro_names_read_inline_code_only(tmp_path):
+    md = tmp_path / "x.md"
+    md.write_text(
+        "prose repro.not.code, `python -m repro.qa.cli --seed 1`, "
+        "`repro.engine.warm_start()`\n"
+        "```\nrepro.in.a.fence `repro.fenced.span`\n```\n",
+        encoding="utf-8",
+    )
+    assert repro_names(md) == ["repro.qa.cli", "repro.engine.warm_start"]
+
+
+def test_resolves_modules_and_attributes():
+    assert resolves("repro.engine.session.SchedulingSession.mindist")
+    assert resolves("repro.cancel")
+    assert not resolves("repro.service.cancel")
+    assert not resolves("repro.engine.SchedulingSession.no_such_method")

@@ -1,9 +1,10 @@
 """Tests for the scheduling-engine performance layer.
 
-Covers the MinDistSolver cache contract (hit identity, invalidation,
-NO_PATH saturation, infeasible-II memoization) and the property that the
-vectorized EarlyStart/LateStart bounds match the seed's dict-loop
-formulation on random DDGs and random placement orders.
+Covers the pure MinDist solve (NO_PATH saturation, read-only results,
+equal graphs giving equal matrices, II scaling), the sweep's handling
+of a graph mutated between queries, the structural fingerprint, and the
+property that the vectorized EarlyStart/LateStart bounds match the
+seed's dict-loop formulation on random DDGs and random placement orders.
 """
 
 import random
@@ -15,13 +16,14 @@ from hypothesis import strategies as st
 
 from repro.engine import (
     NO_PATH,
-    MinDistSolver,
+    MinDistSweep,
+    SchedulingSession,
     StartBounds,
-    cyclic_asap,
     graph_fingerprint,
-    mindist_matrix,
 )
+from repro.engine.mindist import factorise, solve
 from repro.graph.builder import GraphBuilder
+from repro.machine.configs import motivating_machine
 from repro.workloads.synthetic import random_ddg
 
 
@@ -39,91 +41,20 @@ def recurrence_graph(latency=4, distance=1):
     return b.build()
 
 
-class TestMinDistSolverCache:
-    def test_repeated_query_returns_same_object(self):
-        solver = MinDistSolver()
-        g = chain_graph()
-        first = solver.solve(g, 2)
-        second = solver.solve(g, 2)
-        assert first is not None
-        assert first[0] is second[0]
-        assert first[1] is second[1]
-        info = solver.cache_info()
-        assert info["hits"] == 1 and info["misses"] == 1
+def mindist(graph, ii):
+    """The pure MinDist solve at *ii*."""
+    return solve(factorise(graph), ii)
 
+
+class TestPureSolve:
     def test_distinct_ii_are_distinct_entries(self):
-        solver = MinDistSolver()
         g = recurrence_graph()
-        a = solver.solve(g, 5)
-        b = solver.solve(g, 6)
+        a = mindist(g, 5)
+        b = mindist(g, 6)
         assert a is not None and b is not None
         assert a[0] is not b[0]
         # The recurrence edge weight shrinks by 1 per extra II.
         assert a[0][1, 0] == b[0][1, 0] + 1
-
-    def test_infeasible_ii_result_is_cached(self):
-        solver = MinDistSolver()
-        g = recurrence_graph(latency=5, distance=1)  # RecMII = 6
-        assert solver.solve(g, 5) is None
-        assert solver.solve(g, 5) is None
-        info = solver.cache_info()
-        assert info["misses"] == 1 and info["hits"] == 1
-
-    def test_concurrent_same_graph_solves_are_safe(self):
-        """The portfolio racer solves one graph from many threads; the
-        cache bookkeeping (LRU moves, eviction, byte budget) must stay
-        consistent under that concurrency."""
-        import threading
-
-        graph = random_ddg(random.Random(3), 60, name="stress")
-        # A budget small enough that eviction runs constantly.
-        solver = MinDistSolver(cache_bytes=200_000)
-        errors: list[BaseException] = []
-
-        def worker(seed: int) -> None:
-            rng = random.Random(seed)
-            try:
-                for _ in range(150):
-                    solver.solve(graph, rng.randint(60, 90))
-            except BaseException as exc:  # noqa: BLE001 - reported below
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=worker, args=(i,)) for i in range(8)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-        factors = solver._graphs[graph]
-        actual = sum(
-            0 if entry is None else entry[0].nbytes
-            for entry in factors.cache.values()
-        )
-        assert factors.cached_bytes == actual
-
-    def test_mutation_invalidates_cache(self):
-        solver = MinDistSolver()
-        b = GraphBuilder("mut")
-        b.op("a", latency=2).op("b", latency=1)
-        b.edge("a", "b")
-        g = b.build()
-        before = solver.solve(g, 3)
-        assert before is not None
-        assert before[0][0, 1] == 2
-        assert before[0][1, 0] == NO_PATH
-
-        from repro.graph.edges import Edge
-
-        g.add_edge(Edge("b", "a", distance=1))
-        after = solver.solve(g, 3)
-        assert after is not None
-        assert after[0][1, 0] == -2  # 1 - 1*3: the new recurrence edge
-        assert after[0] is not before[0]
-        # The new circuit also makes small IIs infeasible — and that
-        # outcome is cached too.
-        assert solver.solve(g, 1) is None
 
     def test_fingerprint_distinguishes_opclass_and_value_flag(self):
         # Same names, latencies and edges — different resource binding.
@@ -145,34 +76,10 @@ class TestMinDistSolverCache:
         stores = build(FADD, produces_value=False)
         assert graph_fingerprint(adds) != graph_fingerprint(stores)
 
-    def test_byte_budget_bounds_memory_per_graph(self):
-        from repro.engine.mindist import _MIN_CACHED_IIS
-
-        tight = MinDistSolver(cache_bytes=1)
-        g = chain_graph()
-        for ii in range(1, 12):
-            assert tight.solve(g, ii) is not None
-        factors = tight._graphs[g]
-        # Over budget: only the guaranteed LRU floor survives, newest
-        # first, and the byte ledger matches what is actually held.
-        assert len(factors.cache) == _MIN_CACHED_IIS
-        assert 11 in factors.cache and 1 not in factors.cache
-        assert factors.cached_bytes == sum(
-            entry[0].nbytes for entry in factors.cache.values()
-        )
-
-        # Paper-scale graphs never hit the default budget: a long II
-        # sweep stays fully cached for warm re-runs.
-        roomy = MinDistSolver()
-        for ii in range(1, 12):
-            assert roomy.solve(g, ii) is not None
-        assert len(roomy._graphs[g].cache) == 11
-
     def test_fresh_equal_graph_gets_equal_matrix(self):
-        solver = MinDistSolver()
         g1, g2 = chain_graph(), chain_graph()
         assert graph_fingerprint(g1) == graph_fingerprint(g2)
-        r1, r2 = solver.solve(g1, 3), solver.solve(g2, 3)
+        r1, r2 = mindist(g1, 3), mindist(g2, 3)
         assert r1[0] is not r2[0]
         assert np.array_equal(r1[0], r2[0])
 
@@ -183,7 +90,7 @@ class TestMinDistSolverCache:
         b.op("d", latency=1)
         b.edge("a", "b").edge("b", "c")
         g = b.build()
-        dist, names = MinDistSolver().solve(g, 1)
+        dist, names = mindist(g, 1)
         i, j = names.index("a"), names.index("d")
         assert dist[i, j] == NO_PATH
         assert dist[j, i] == NO_PATH
@@ -191,24 +98,49 @@ class TestMinDistSolverCache:
         assert dist[names.index("a"), names.index("c")] == 2
 
     def test_matrix_is_read_only(self):
-        dist, _ = MinDistSolver().solve(chain_graph(), 1)
+        dist, _ = mindist(chain_graph(), 1)
         with pytest.raises(ValueError):
             dist[0, 0] = 7
 
-    def test_module_level_functions_share_default_solver(self):
-        g = chain_graph()
-        a = mindist_matrix(g, 4)
-        b = mindist_matrix(g, 4)
-        assert a[0] is b[0]
+
+class TestSweepContract:
+    def test_infeasible_ii_result_is_memoized(self):
+        g = recurrence_graph(latency=5, distance=1)  # RecMII = 6
+        sweep = MinDistSweep(g)
+        assert sweep.solve(5) is None
+        assert sweep.solve(5) is None
+        stats = sweep.stats()
+        assert stats["fresh_solves"] == 1 and stats["memo_hits"] == 1
+
+    def test_mutation_invalidates_cache(self):
+        b = GraphBuilder("mut")
+        b.op("a", latency=2).op("b", latency=1)
+        b.edge("a", "b")
+        g = b.build()
+        sweep = MinDistSweep(g)
+        before = sweep.solve(3)
+        assert before is not None
+        assert before[0][0, 1] == 2
+        assert before[0][1, 0] == NO_PATH
+
+        from repro.graph.edges import Edge
+
+        g.add_edge(Edge("b", "a", distance=1))
+        after = sweep.solve(3)
+        assert after is not None
+        assert after[0][1, 0] == -2  # 1 - 1*3: the new recurrence edge
+        assert after[0] is not before[0]
+        # The new circuit also makes small IIs infeasible.
+        assert sweep.solve(1) is None
 
     def test_cyclic_asap_returns_fresh_dict(self):
-        g = chain_graph()
-        a = cyclic_asap(g, 1)
-        b = cyclic_asap(g, 1)
+        session = SchedulingSession(chain_graph(), motivating_machine())
+        a = session.cyclic_asap(1)
+        b = session.cyclic_asap(1)
         assert a == {"a": 0, "b": 2, "c": 5}
         assert a is not b
         a["a"] = 99
-        assert cyclic_asap(g, 1)["a"] == 0
+        assert session.cyclic_asap(1)["a"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +181,11 @@ def test_start_bounds_match_dict_loops(seed, size):
     rng = random.Random(seed)
     graph = random_ddg(rng, size, name=f"sb{seed}")
     ii = rng.randint(1, 40)
-    solved = mindist_matrix(graph, ii)
+    factors = factorise(graph)
+    solved = solve(factors, ii)
     if solved is None:
         ii = ii + 64  # large II is feasible for any generator output
-        solved = mindist_matrix(graph, ii)
+        solved = solve(factors, ii)
         assert solved is not None
     dist, names = solved
     index = {name: i for i, name in enumerate(names)}

@@ -129,6 +129,43 @@ class TestWireProtocol:
         assert str(exc) == "bad"
 
 
+def _dense_recurrence_graph(size: int = 9):
+    """A complete digraph on *size* nodes, every cycle loop-carried:
+    about 125,000 elementary circuits at ``size=9``, past the 50,000
+    cap of :func:`repro.graph.circuits.elementary_circuits`."""
+    from repro.graph.builder import GraphBuilder
+
+    builder = GraphBuilder("circuit-bomb")
+    names = [f"n{i}" for i in range(size)]
+    for name in names:
+        builder.op(name)
+    for i, src in enumerate(names):
+        for j, dst in enumerate(names):
+            if i != j:
+                builder.edge(src, dst, distance=0 if i < j else 1)
+    return builder.build()
+
+
+class TestPermanentErrors:
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_circuit_limit_fails_after_one_attempt(self, tmp_path, backend):
+        """CircuitLimitExceeded is deterministic for a graph, so the
+        pool must not re-run the enumeration on a retry."""
+        jobs, _ = _run_requests(
+            tmp_path / "store",
+            [{
+                "kind": "schedule",
+                "graph": graph_to_dict(_dense_recurrence_graph()),
+                "machine": "generic4",
+            }],
+            ExecutorConfig(backend=backend, workers=1, max_attempts=3),
+        )
+        (job,) = jobs
+        assert job.status == "failed"
+        assert job.attempts == 1
+        assert job.error["type"] == "CircuitLimitExceeded"
+
+
 class TestProcessWorkerPool:
     def test_schedules_end_to_end(self, tmp_path, gov_suite):
         requests = [

@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.ordering import hrms_order
 from repro.core.scheduler import HRMSScheduler
+from repro.engine import SchedulingSession
+from repro.engine.mindist import factorise, solve
 from repro.graph.traversal import is_acyclic, pala_order, asap_order
 from repro.machine.configs import perfect_club_machine
 from repro.mii.analysis import compute_mii
@@ -19,7 +21,6 @@ from repro.schedule.buffers import buffer_requirements
 from repro.schedule.lifetimes import compute_lifetimes
 from repro.schedule.maxlive import max_live
 from repro.schedule.verify import verify_schedule
-from repro.schedulers.mindist import cyclic_asap, mindist_matrix
 from repro.schedulers.registry import make_scheduler
 from repro.sim.simulator import simulate
 from repro.workloads.synthetic import random_ddg
@@ -138,9 +139,10 @@ def test_mindist_consistent_with_recmii(params):
     """mindist is feasible exactly when II >= RecMII."""
     graph = make_graph(params)
     analysis = compute_mii(graph, MACHINE)
-    assert mindist_matrix(graph, analysis.recmii) is not None
+    factors = factorise(graph)
+    assert solve(factors, analysis.recmii) is not None
     if analysis.recmii > 1:
-        assert mindist_matrix(graph, analysis.recmii - 1) is None
+        assert solve(factors, analysis.recmii - 1) is None
 
 
 @given(graph_params)
@@ -149,7 +151,7 @@ def test_cyclic_asap_respects_edges(params):
     graph = make_graph(params)
     analysis = compute_mii(graph, MACHINE)
     ii = analysis.mii
-    asap = cyclic_asap(graph, ii)
+    asap = SchedulingSession(graph, MACHINE, analysis).cyclic_asap(ii)
     assert asap is not None
     for edge in graph.edges():
         if edge.src == edge.dst:

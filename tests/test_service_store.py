@@ -254,7 +254,7 @@ class TestGraphEnvelopeVersioning:
 
 
 class TestShardedLayout:
-    """Two-level fan-out plus transparent legacy-layout migration."""
+    """The two-level fan-out is the only layout read or written."""
 
     def _write_at(self, store, key, path):
         """Plant an envelope for *key* at an arbitrary (legacy) path."""
@@ -278,25 +278,6 @@ class TestShardedLayout:
         )
         assert expected.exists()
 
-    def test_reads_and_migrates_one_level_legacy_file(self, store):
-        key = request_key({"legacy": "one-level"})
-        legacy = store.root / "objects" / key[:2] / f"{key}.json"
-        envelope = self._write_at(store, key, legacy)
-        assert store.get(key) == envelope
-        assert not legacy.exists()  # migrated on first touch
-        sharded = store.root / "objects" / key[:2] / key[2:4] / f"{key}.json"
-        assert sharded.exists()
-        assert store.get(key) == envelope  # still served post-migration
-
-    def test_reads_and_migrates_flat_legacy_file(self, store):
-        key = request_key({"legacy": "flat"})
-        legacy = store.root / "objects" / f"{key}.json"
-        envelope = self._write_at(store, key, legacy)
-        assert key in store
-        assert store.get(key) == envelope
-        assert not legacy.exists()
-        assert store.get(key) == envelope
-
     def test_iter_keys_spans_every_layout(self, store):
         sharded_request = {"layout": "sharded"}
         sharded_key = store.key_for(sharded_request)
@@ -316,20 +297,18 @@ class TestShardedLayout:
         }
         assert len(store) == 3
 
-    def test_put_supersedes_legacy_copy(self, store):
-        request = {"layout": "superseded"}
-        key = store.key_for(request)
-        legacy = store.root / "objects" / key[:2] / f"{key}.json"
-        self._write_at(store, key, legacy)
-        store.put(key, "schedule", request, {"fresh": True})
-        assert not legacy.exists()
-        assert store.get(key)["payload"] == {"fresh": True}
-
-    def test_delete_reaches_legacy_layouts(self, store):
-        key = request_key({"layout": "doomed"})
+    def test_one_level_path_is_not_read(self, store):
+        key = request_key({"layout": "one-level"})
         self._write_at(
-            store, key, store.root / "objects" / f"{key}.json"
+            store, key, store.root / "objects" / key[:2] / f"{key}.json"
         )
+        assert key not in store
+        assert store.get(key) is None
+
+    def test_delete_removes_sharded_file(self, store):
+        request = {"layout": "doomed"}
+        key = store.key_for(request)
+        store.put(key, "schedule", request, {})
         assert store.delete(key) is True
         assert key not in store
         assert store.delete(key) is False

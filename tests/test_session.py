@@ -19,11 +19,10 @@ from repro.engine import (
     MinDistSweep,
     SchedulingSession,
     SessionCache,
-    mindist_matrix,
     session_for,
     shared_session_cache,
 )
-from repro.engine.mindist import MinDistSolver, _factorise, graph_fingerprint
+from repro.engine.mindist import factorise, solve
 from repro.engine.sweep import SweepCrossCheckError
 from repro.graph.builder import GraphBuilder
 from repro.machine.configs import perfect_club_machine
@@ -44,9 +43,7 @@ def recurrence_graph(latency=4, distance=1):
 
 def fresh_solve(graph, ii):
     """An independent fresh Floyd–Warshall at *ii* (no sweep state)."""
-    return MinDistSolver._solve_uncached(
-        _factorise(graph, graph_fingerprint(graph)), ii
-    )
+    return solve(factorise(graph), ii)
 
 
 class TestSweepMatchesFreshSolves:
@@ -198,7 +195,7 @@ class TestSchedulingSession:
         mii = session.analysis.mii
         for ii in (mii, mii + 1, mii + 2):
             dist, names = session.mindist(ii)
-            ref_dist, ref_names = mindist_matrix(graph, ii)
+            ref_dist, ref_names = fresh_solve(graph, ii)
             assert np.array_equal(dist, ref_dist)
             assert names == ref_names
 
@@ -232,6 +229,40 @@ class TestSchedulingSession:
         first = session.cyclic_asap(ii)
         second = session.cyclic_asap(ii)
         assert first == second and first is not second
+
+
+class TestSweepTracing:
+    def test_fresh_solves_emit_mindist_spans_under_search(self):
+        """Every fresh O(n³) solve of the sweep — plain and
+        slope-augmented — is one ``mindist.solve`` span under
+        ``scheduler.search``; incremental advances and memo hits are
+        not."""
+        from repro.core.scheduler import HRMSScheduler
+        from repro.obs import trace
+
+        graph = random_ddg(random.Random(22), 12, name="traced12")
+        machine = perfect_club_machine()
+        session = SchedulingSession(graph, machine)
+        collector = trace.arm()
+        try:
+            root = trace.begin_root("request", trace.new_trace_id())
+            with trace.attach(root.trace_id, root.span_id):
+                schedule = HRMSScheduler().schedule(
+                    graph, machine, session=session
+                )
+            trace.finish(root)
+        finally:
+            trace.disarm()
+        assert schedule.stats.attempts > 1
+        spans = collector.trace(root.trace_id)
+        (search,) = [s for s in spans if s["name"] == "scheduler.search"]
+        solves = [s for s in spans if s["name"] == "mindist.solve"]
+        assert len(solves) == session.sweep_stats()["fresh_solves"]
+        assert session.sweep_stats()["incremental_steps"] > 0
+        assert all(s["parent_id"] == search["span_id"] for s in solves)
+        assert {s["attrs"]["slopes"] for s in solves} == {False, True}
+        assert all(s["attrs"]["ops"] == len(graph) for s in solves)
+        assert all(s["attrs"]["ii"] >= schedule.stats.mii for s in solves)
 
 
 class TestSessionCache:

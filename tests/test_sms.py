@@ -2,12 +2,18 @@
 
 import pytest
 
+from repro.engine.mindist import factorise, solve
 from repro.machine.configs import motivating_machine
 from repro.mii.analysis import compute_mii
 from repro.schedule.maxlive import max_live
 from repro.schedulers.registry import make_scheduler
 from repro.schedulers.sms import SwingScheduler, swing_order
 from repro.workloads.motivating import motivating_example
+
+
+def order_at(graph, mii):
+    """The swing order over the pure MinDist solve at ``max(mii, 1)``."""
+    return swing_order(graph, solve(factorise(graph), max(mii, 1)))
 
 
 class TestSwingOrder:
@@ -17,7 +23,7 @@ class TestSwingOrder:
         machine = govindarajan_machine()
         for loop in gov_suite:
             analysis = compute_mii(loop.graph, machine)
-            order = swing_order(loop.graph, analysis.mii)
+            order = order_at(loop.graph, analysis.mii)
             assert sorted(order) == sorted(loop.graph.node_names())
 
     def test_reference_neighbour_invariant(self, gov_suite):
@@ -29,7 +35,7 @@ class TestSwingOrder:
         machine = govindarajan_machine()
         for loop in gov_suite:
             analysis = compute_mii(loop.graph, machine)
-            order = swing_order(loop.graph, analysis.mii)
+            order = order_at(loop.graph, analysis.mii)
             placed = set()
             orphans = 0
             for name in order:
@@ -41,7 +47,7 @@ class TestSwingOrder:
     def test_critical_recurrence_ordered_first(self):
         from repro.workloads.motivating import figure10_graph
 
-        order = swing_order(figure10_graph(), mii=4)
+        order = order_at(figure10_graph(), mii=4)
         # The RecMII-4 circuit {A, C, D, F} has zero mobility at MII=4.
         assert set(order[:4]) == {"A", "C", "D", "F"}
 
