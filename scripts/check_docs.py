@@ -5,11 +5,12 @@ The README promises a quickstart: every console-script entry point
 declared in ``setup.py`` and every scheduler registered in
 :mod:`repro.schedulers.registry` must be mentioned in ``README.md``,
 every relative link in the README and ``docs/`` must resolve to a
-real file, and every backticked dotted ``repro.…`` name in
+real file, every backticked dotted ``repro.…`` name in
 ``README.md``, ``PERFORMANCE.md`` and ``docs/*.md`` must import and
-resolve.  Anything less means the docs have rotted relative to the
-code — which this script turns into a loud failure instead of a
-confused user.
+resolve, and every ``perf_check.py …`` command line in the code of the
+docs that describe the perf gate must parse with its argument parser.
+Anything less means the docs have rotted relative to the code — which
+this script turns into a loud failure instead of a confused user.
 
 Run standalone::
 
@@ -21,8 +22,11 @@ or let ``scripts/perf_check.py`` (which embeds it as a tier) and
 
 from __future__ import annotations
 
+import contextlib
 import importlib
+import io
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -40,6 +44,17 @@ _CODE_SPAN = re.compile(r"`([^`\n]+)`")
 
 #: A dotted name rooted at the package — ``repro.engine.warm_start``.
 _REPRO_NAME = re.compile(r"(?<![\w.-])repro(?:\.[A-Za-z_]\w*)+")
+
+#: Fenced code blocks (also indented ones, inside list items).
+_FENCE = re.compile(r"^[ \t]*```.*?^[ \t]*```", flags=re.M | re.S)
+
+#: A perf-gate invocation: its arguments run to the end of the line or
+#: of the code span, or to a shell operator.
+_PERF_CHECK_CALL = re.compile(r"perf_check\.py\b([^\n|;&<>]*)")
+
+#: The docs whose code may show perf-gate command lines.
+_PERF_CHECK_DOCS = ("README.md", "PERFORMANCE.md", "benchmarks/README.md",
+                    "docs/*.md", ".claude/skills/verify/SKILL.md")
 
 
 def console_scripts(setup_py: Path) -> list[str]:
@@ -59,12 +74,38 @@ def local_link_targets(markdown: Path) -> list[str]:
 
 def repro_names(markdown: Path) -> list[str]:
     """Dotted ``repro.…`` names inside *markdown*'s inline code spans."""
-    text = markdown.read_text(encoding="utf-8")
-    text = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
+    text = _FENCE.sub("", markdown.read_text(encoding="utf-8"))
     names = []
     for span in _CODE_SPAN.findall(text):
         names.extend(_REPRO_NAME.findall(span))
     return names
+
+
+def perf_check_calls(markdown: Path) -> list[list[str]]:
+    """The argument lists of every ``perf_check.py`` command line in
+    *markdown*'s fenced blocks and inline code spans."""
+    text = markdown.read_text(encoding="utf-8")
+    snippets = _FENCE.findall(text) + _CODE_SPAN.findall(_FENCE.sub("", text))
+    return [
+        shlex.split(match.group(1), comments=True)
+        for snippet in snippets
+        for match in _PERF_CHECK_CALL.finditer(snippet)
+    ]
+
+
+def perf_check_rejects(argv: list[str]) -> str | None:
+    """Why ``scripts/perf_check.py`` would refuse *argv*, or None."""
+    from perf_check import build_parser
+
+    stderr = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(stderr), \
+                contextlib.redirect_stdout(io.StringIO()):
+            build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code:
+            return stderr.getvalue().rsplit("error: ", 1)[-1].strip()
+    return None
 
 
 def resolves(dotted: str) -> bool:
@@ -138,6 +179,16 @@ def check_docs(repo_root: Path) -> list[str]:
                     f"{markdown.relative_to(repo_root)} names `{name}`, "
                     "which does not import"
                 )
+
+    for pattern in _PERF_CHECK_DOCS:
+        for markdown in sorted(repo_root.glob(pattern)):
+            for argv in perf_check_calls(markdown):
+                reason = perf_check_rejects(argv)
+                if reason:
+                    problems.append(
+                        f"{markdown.relative_to(repo_root)} runs "
+                        f"`perf_check.py {shlex.join(argv)}`: {reason}"
+                    )
     return problems
 
 
@@ -149,7 +200,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  !! {problem}")
         return 1
     print("check_docs: ok (README covers every entry point and scheduler; "
-          "every documented repro name imports)")
+          "every documented repro name imports; every perf_check.py "
+          "command line parses)")
     return 0
 
 

@@ -1,35 +1,25 @@
 #!/usr/bin/env python
 """Performance regression gate for the scheduling engine.
 
-Measures the scalability hot paths (pure MinDist solve, session MinDist
-memo hit, full HRMS schedule cold/warm) on the same seeded synthetic loops
-``benchmarks/bench_scalability.py`` uses, plus the engine_sweep tier
-(incremental II-sweep vs fresh per-II solves, and the ``/v1/batch``
-fast path vs individual submissions — both speedup floors gated), the
-service smoke tier
-(live HTTP batch), the portfolio tier (5-heuristic race), the procpool
-tier (thread-vs-process backend throughput + artifact parity), the qa
-tier (fixed-seed mini fuzzing campaign, zero oracle failures gated —
-see ``hrms-fuzz`` for the full-strength version), the chaos tier
-(seeded fault-injection mini-campaign, zero resilience-invariant
-violations gated — see ``hrms-chaos`` for the full-strength version),
-the conformance tier (golden kernel matrix diffed against
-``tests/goldens/conformance/`` — see ``hrms-conformance`` for the
-full-strength version with the exact schedulers) and the documentation
-consistency gate (``scripts/check_docs.py``).  ``--tier NAME`` runs a
-single tier, e.g. ``--tier conformance``; ``--list-tiers`` prints the
-catalog.
-Writes
-the numbers to ``BENCH_scalability.json``, and **fails loudly** when
-any measurement regresses more than ``--threshold`` (default 2x)
-against the committed baseline — or when the achieved II changes at
-all, which would mean the schedules themselves changed.
+Runs every tier in :data:`TIERS` — the scalability hot paths on the
+seeded synthetic loops ``benchmarks/bench_scalability.py`` uses, the
+II-sweep engine and batch fast path, the live service, the portfolio
+race, the thread/process backends, the mini fuzzing, chaos and
+conformance campaigns, tracing overhead, and the documentation gate —
+writes the numbers to ``BENCH_scalability.json`` and **fails loudly**
+when any gated key breaks its rule against the committed baseline.
+Each gated key carries one rule kind (:data:`RULE_KINDS`): exact
+identity with the baseline (an II change means the schedules changed),
+an absolute predicate or bound, or a ratio within ``--threshold``
+(default 2x) of the baseline.
 
 Usage::
 
-    PYTHONPATH=src python scripts/perf_check.py            # gate
-    PYTHONPATH=src python scripts/perf_check.py --update   # new baseline
+    PYTHONPATH=src python scripts/perf_check.py                  # gate
+    PYTHONPATH=src python scripts/perf_check.py --update         # new baseline
     PYTHONPATH=src python scripts/perf_check.py --sizes 16,64,160,512
+    PYTHONPATH=src python scripts/perf_check.py --tier conformance
+    PYTHONPATH=src python scripts/perf_check.py --list-tiers     # the rules
 
 Timing keys are gated with min-of-N timings to damp machine noise; the
 2x threshold leaves further headroom for slow CI boxes.
@@ -43,7 +33,9 @@ import platform
 import random
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -53,38 +45,11 @@ from repro.engine import SchedulingSession  # noqa: E402
 from repro.engine.mindist import factorise, solve  # noqa: E402
 from repro.machine.configs import perfect_club_machine  # noqa: E402
 from repro.mii.analysis import compute_mii  # noqa: E402
+from repro.service.faults import POINTS  # noqa: E402
 from repro.workloads.synthetic import random_ddg  # noqa: E402
 
 DEFAULT_BASELINE = REPO_ROOT / "BENCH_scalability.json"
 DEFAULT_SIZES = (16, 64, 160)
-#: Every tier ``--tier`` can select (and the --no-* flags can disable;
-#: "sizes" has no disable flag — deselect it by picking other tiers).
-#: ``--list-tiers`` prints this catalog.
-TIER_DESCRIPTIONS = {
-    "sizes": "MinDist cold/warm + full HRMS schedule on seeded loops "
-             "(II identity gated)",
-    "engine_sweep": "incremental II-sweep vs fresh per-II solves on a "
-                    "multi-attempt 160-op loop, plus /v1/batch vs "
-                    "individual submissions (speedup floors gated)",
-    "service": "live HTTP batch over a cold store (throughput + p95 "
-               "latency)",
-    "portfolio": "5-heuristic race on 160 ops (winner identity gated)",
-    "procpool": "thread vs process backend throughput + artifact parity",
-    "qa": "fixed-seed mini fuzzing campaign (zero oracle failures gated)",
-    "chaos": "seeded fault-injection mini-campaign (zero invariant "
-             "violations gated)",
-    "obs": "tracing overhead <= 2%, artifact parity, stats determinism",
-    "conformance": "golden kernel matrix, heuristics-only (zero drift "
-                   "gated)",
-    "docs": "documentation consistency gate (scripts/check_docs.py)",
-}
-TIER_NAMES = tuple(TIER_DESCRIPTIONS)
-TIMING_KEYS = (
-    "mindist_cold_s",
-    "mindist_warm_s",
-    "full_schedule_cold_s",
-    "full_schedule_warm_s",
-)
 
 
 def _best_of(repeats: int, fn) -> float:
@@ -137,6 +102,41 @@ def measure_size(size: int, machine, repeats: int = 3) -> dict:
     }
 
 
+def measure_sizes(sizes) -> dict:
+    machine = perfect_club_machine()
+    return {str(size): measure_size(size, machine) for size in sizes}
+
+
+def _serve(
+    what: str, requests: list[dict], workers: int, batched: bool = True
+) -> tuple[float, list[dict]]:
+    """Run *requests* through a live localhost server over a cold
+    temporary store — one ``POST /v1/batch``, or one submit-and-wait
+    round trip each — and return the wall time and the settled job
+    records.  Raises when any job did not finish."""
+    import tempfile
+
+    from repro.service import ServiceClient, ServiceServer
+
+    with tempfile.TemporaryDirectory(prefix="hrms-perf-") as tmp:
+        with ServiceServer(tmp, workers=workers) as server:
+            client = ServiceClient(server.url)
+            began = time.perf_counter()
+            if batched:
+                ids = client.submit_batch(requests)
+                records = [client.wait(i, timeout=300) for i in ids]
+            else:
+                records = [
+                    client.wait(client.submit(req), timeout=300)
+                    for req in requests
+                ]
+            wall = time.perf_counter() - began
+    failed = [r for r in records if r["status"] != "done"]
+    if failed:
+        raise RuntimeError(f"{what}: {len(failed)} jobs failed")
+    return wall, records
+
+
 #: Minimum cold multi-attempt speedup the II-sweep engine must deliver
 #: over fresh per-II Floyd–Warshall solves on the 160-op workload.  The
 #: sweep replaces ~45 O(n³) solves with two (base + slope closure) plus
@@ -174,11 +174,8 @@ def measure_engine_sweep(
       batch path must clear :data:`BATCH_SPEEDUP_TARGET` times the
       individual throughput, and the per-request IIs must agree.
     """
-    import tempfile
-
     from repro.graph.serialization import graph_to_dict
     from repro.schedulers.registry import make_scheduler
-    from repro.service import ServiceClient, ServiceServer
 
     machine = perfect_club_machine()
     graph = random_ddg(
@@ -209,21 +206,10 @@ def measure_engine_sweep(
     )
 
     scheds = ("hrms", "sms", "topdown", "frlc")
-    batch_loops = []
-    offset = 0
-    while len(batch_loops) < batch_graphs:
-        # Skip the occasional unschedulable draw (circuit-limit blowups)
-        # the same way the procpool tier does.
-        try:
-            batch_loops.append(
-                random_ddg(
-                    random.Random(400 + offset), 40,
-                    name=f"batch{offset}",
-                )
-            )
-        except Exception:
-            pass
-        offset += 1
+    batch_loops = [
+        random_ddg(random.Random(400 + offset), 40, name=f"batch{offset}")
+        for offset in range(batch_graphs)
+    ]
     requests = [
         {
             "kind": "schedule",
@@ -235,29 +221,11 @@ def measure_engine_sweep(
         for sched in scheds
     ]
 
-    def run_service(batched: bool):
-        with tempfile.TemporaryDirectory(prefix="hrms-sweep-") as tmp:
-            with ServiceServer(tmp, workers=workers) as server:
-                client = ServiceClient(server.url)
-                began = time.perf_counter()
-                if batched:
-                    ids = client.submit_batch(requests)
-                    records = [client.wait(i, timeout=300) for i in ids]
-                else:
-                    records = [
-                        client.wait(client.submit(req), timeout=300)
-                        for req in requests
-                    ]
-                wall = time.perf_counter() - began
-        failed = [r for r in records if r["status"] != "done"]
-        if failed:
-            raise RuntimeError(
-                f"engine_sweep batch: {len(failed)} jobs failed"
-            )
-        return wall, [r["result"]["ii"] for r in records]
-
-    batch_wall, batch_iis = run_service(batched=True)
-    individual_wall, individual_iis = run_service(batched=False)
+    batch_wall, batched = _serve("engine_sweep batch", requests, workers)
+    individual_wall, individual = _serve(
+        "engine_sweep batch", requests, workers, batched=False
+    )
+    batch_iis = [r["result"]["ii"] for r in batched]
     return {
         "size": size,
         "attempts": sweep_schedule.stats.attempts,
@@ -274,59 +242,9 @@ def measure_engine_sweep(
         "individual_jobs_per_s": len(requests) / individual_wall,
         "batch_speedup": individual_wall / batch_wall,
         "batch_iis": batch_iis,
-        "identical_batch_iis": batch_iis == individual_iis,
+        "identical_batch_iis": batch_iis
+        == [r["result"]["ii"] for r in individual],
     }
-
-
-def compare_engine_sweep(
-    current: dict, baseline: dict, threshold: float
-) -> list[str]:
-    """Engine-sweep regressions: the two speedup floors and schedule
-    identity are absolute; the achieved II must match the baseline;
-    the sweep timing is gated against the baseline like the size
-    tiers."""
-    problems = []
-    if not current["identical_schedules"]:
-        problems.append(
-            "engine_sweep: incremental sweep and fresh per-II solves "
-            "produced different schedules (the sweep must be exact!)"
-        )
-    if not current["identical_batch_iis"]:
-        problems.append(
-            "engine_sweep: batch and individual submissions produced "
-            "different IIs (the batch path must not change results!)"
-        )
-    if current["sweep_speedup"] < SWEEP_SPEEDUP_TARGET:
-        problems.append(
-            f"engine_sweep: sweep speedup {current['sweep_speedup']:.2f}x "
-            f"< {SWEEP_SPEEDUP_TARGET}x over fresh per-II solves "
-            f"({current['fresh_s']:.3f}s -> {current['sweep_s']:.3f}s)"
-        )
-    if current["batch_speedup"] < BATCH_SPEEDUP_TARGET:
-        problems.append(
-            f"engine_sweep: batch throughput {current['batch_speedup']:.2f}x "
-            f"< {BATCH_SPEEDUP_TARGET}x over individual submissions "
-            f"({current['individual_jobs_per_s']:.1f} -> "
-            f"{current['batch_jobs_per_s']:.1f} jobs/s)"
-        )
-    for key in ("ii", "attempts"):
-        if key in baseline and current[key] != baseline[key]:
-            problems.append(
-                f"engine_sweep: {key} changed {baseline[key]} -> "
-                f"{current[key]} (schedules are no longer identical!)"
-            )
-    if "batch_iis" in baseline and current["batch_iis"] != baseline["batch_iis"]:
-        problems.append(
-            "engine_sweep: per-request batch IIs changed vs baseline "
-            "(schedules are no longer identical!)"
-        )
-    base_sweep = baseline.get("sweep_s")
-    if base_sweep and current["sweep_s"] > base_sweep * threshold:
-        problems.append(
-            f"engine_sweep: sweep scheduling regressed "
-            f"{base_sweep:.3f}s -> {current['sweep_s']:.3f}s"
-        )
-    return problems
 
 
 def measure_service(jobs: int = 48, workers: int = 4) -> dict:
@@ -338,10 +256,7 @@ def measure_service(jobs: int = 48, workers: int = 4) -> dict:
     design — this guards the service plumbing (HTTP, queue, workers,
     store) rather than the schedulers, which the size tiers cover.
     """
-    import tempfile
-
     from repro.graph.serialization import graph_to_dict
-    from repro.service import ServiceClient, ServiceServer
     from repro.service.metrics import percentile
     from repro.workloads.govindarajan import govindarajan_suite
 
@@ -354,16 +269,7 @@ def measure_service(jobs: int = 48, workers: int = 4) -> dict:
         }
         for graph in (graphs * ((jobs // len(graphs)) + 1))[:jobs]
     ]
-    with tempfile.TemporaryDirectory(prefix="hrms-perf-") as tmp:
-        with ServiceServer(tmp, workers=workers) as server:
-            client = ServiceClient(server.url)
-            began = time.perf_counter()
-            ids = client.submit_batch(requests)
-            records = [client.wait(i, timeout=300) for i in ids]
-            wall = time.perf_counter() - began
-    failed = [r for r in records if r["status"] != "done"]
-    if failed:
-        raise RuntimeError(f"service smoke: {len(failed)} jobs failed")
+    wall, records = _serve("service smoke", requests, workers)
     latencies = [r["finished_at"] - r["submitted_at"] for r in records]
     return {
         "jobs": jobs,
@@ -392,8 +298,8 @@ def measure_procpool(jobs: int = 8, workers: int = 4, size: int = 160) -> dict:
 
     The speedup is only meaningful when the machine has at least
     *workers* cores — pure-Python scheduling cannot scale past the
-    core count — so ``cpus`` is recorded and the gate adapts (see
-    :func:`compare_procpool`).
+    core count — so ``cpus`` is recorded and the gate adapts (the two
+    ``speedup`` rules of the procpool tier in :data:`TIERS`).
     """
     import os
     import tempfile
@@ -476,65 +382,6 @@ def measure_procpool(jobs: int = 8, workers: int = 4, size: int = 160) -> dict:
         "speedup": thread_wall / process_wall,
         "identical_artifacts": identical and thread_iis == process_iis,
     }
-
-
-def compare_procpool(current: dict, baseline: dict, threshold: float) -> list[str]:
-    """Procpool regressions: parity is absolute, scaling is gated by
-    the measuring machine's core count.
-
-    * artifacts must be bit-identical across backends, always;
-    * the per-request IIs must match the baseline exactly (schedule
-      identity);
-    * with >= ``workers`` cores the process backend must clear
-      :data:`PROCPOOL_SCALING_TARGET`; on smaller boxes (e.g. 1-CPU
-      CI) physical scaling is impossible, so the speedup is instead
-      gated relative to the baseline ratio;
-    * thread throughput is gated against the baseline like the other
-      timing tiers.
-    """
-    problems = []
-    if not current["identical_artifacts"]:
-        problems.append(
-            "procpool: thread and process backends produced different "
-            "artifacts (backend parity is broken!)"
-        )
-    if "iis" in baseline and current["iis"] != baseline["iis"]:
-        problems.append(
-            f"procpool: per-request IIs changed {baseline['iis']} -> "
-            f"{current['iis']} (schedules are no longer identical!)"
-        )
-    if current["cpus"] >= current["workers"]:
-        if current["speedup"] < PROCPOOL_SCALING_TARGET:
-            problems.append(
-                f"procpool: process backend speedup {current['speedup']:.2f}x "
-                f"< {PROCPOOL_SCALING_TARGET}x on {current['cpus']} cpus "
-                f"({current['workers']} workers)"
-            )
-    else:
-        base_speedup = baseline.get("speedup")
-        # Only compare speedups measured in the same regime: a baseline
-        # recorded on a multi-core box (say 3x) is meaningless on a
-        # 1-CPU container where ~0.9x is the physical ceiling.
-        comparable = baseline.get("cpus", 0) < baseline.get(
-            "workers", current["workers"]
-        )
-        if (
-            comparable
-            and base_speedup
-            and current["speedup"] < base_speedup / threshold
-        ):
-            problems.append(
-                f"procpool: process/thread speedup regressed "
-                f"{base_speedup:.2f}x -> {current['speedup']:.2f}x "
-                f"(on {current['cpus']} cpus)"
-            )
-    base_rate = baseline.get("thread_jobs_per_s")
-    if base_rate and current["thread_jobs_per_s"] < base_rate / threshold:
-        problems.append(
-            f"procpool: thread-backend throughput regressed "
-            f"{base_rate:.1f} -> {current['thread_jobs_per_s']:.1f} jobs/s"
-        )
-    return problems
 
 
 #: Worst enabled/disabled wall-time ratio the obs tier tolerates for
@@ -670,43 +517,6 @@ def measure_obs(size: int = 160, repeats: int = 6) -> dict:
     }
 
 
-def compare_obs(current: dict, baseline: dict, threshold: float) -> list[str]:
-    """Obs regressions: parity and determinism are absolute, the
-    enabled-tracing overhead is gated by :data:`OBS_OVERHEAD_TARGET`,
-    and the disarmed timing is gated against the baseline."""
-    problems = []
-    if not current["identical_artifacts"]:
-        problems.append(
-            "obs: tracing on/off produced different artifacts "
-            "(instrumentation is perturbing the schedules!)"
-        )
-    if not current["stats_deterministic"]:
-        problems.append(
-            "obs: two stats queries over one store disagreed "
-            "(the semantic layer is non-deterministic!)"
-        )
-    if current["overhead_ratio"] > OBS_OVERHEAD_TARGET:
-        problems.append(
-            f"obs: enabled-tracing overhead {current['overhead_ratio']:.3f}x "
-            f"> {OBS_OVERHEAD_TARGET}x on the {current['size']}-op workload"
-        )
-    base_rows = baseline.get("stats_rows")
-    if base_rows is not None and current["stats_rows"] != base_rows:
-        problems.append(
-            "obs: stats rows changed vs baseline (scheduler quality or "
-            "the semantic layer drifted) — rerun with --update if "
-            "intended"
-        )
-    base_disabled = baseline.get("disabled_s")
-    if base_disabled and current["disabled_s"] > base_disabled * threshold:
-        problems.append(
-            f"obs: disarmed scheduling regressed "
-            f"{base_disabled:.4f}s -> {current['disabled_s']:.4f}s "
-            "(the disarmed instrumentation is supposed to be free)"
-        )
-    return problems
-
-
 def measure_qa(seeds: int = 100) -> dict:
     """QA tier: a fixed-seed mini fuzzing campaign, gated on zero
     oracle failures.
@@ -736,30 +546,6 @@ def measure_qa(seeds: int = 100) -> dict:
         ],
         "wall_s": time.perf_counter() - began,
     }
-
-
-def compare_qa(current: dict, baseline: dict, threshold: float) -> list[str]:
-    """QA regressions: oracle failures are absolute (zero, always);
-    the campaign shape must be deterministic; wall time by ratio."""
-    problems = []
-    if current["failures"]:
-        problems.append(
-            f"qa: {current['failures']} oracle failure(s): "
-            + "; ".join(current["failure_descriptions"][:3])
-        )
-    for key in ("cases", "schedules", "checks", "skipped"):
-        if key in baseline and current[key] != baseline[key]:
-            problems.append(
-                f"qa: {key} changed {baseline[key]} -> {current[key]} "
-                "(the campaign is no longer deterministic!)"
-            )
-    base_wall = baseline.get("wall_s")
-    if base_wall and current["wall_s"] > base_wall * threshold:
-        problems.append(
-            f"qa: campaign wall time regressed "
-            f"{base_wall:.2f}s -> {current['wall_s']:.2f}s"
-        )
-    return problems
 
 
 def measure_chaos(seeds: int = 30, max_seconds: float = 60.0) -> dict:
@@ -794,50 +580,6 @@ def measure_chaos(seeds: int = 30, max_seconds: float = 60.0) -> dict:
         ],
         "wall_s": time.perf_counter() - began,
     }
-
-
-def compare_chaos(current: dict, baseline: dict, threshold: float) -> list[str]:
-    """Chaos regressions: invariant violations are absolute (zero,
-    always); the fault counters must keep a sane shape (only known
-    injection points, a campaign that actually injects, every job
-    settled); seed coverage must not shrink; wall time by ratio."""
-    from repro.service.faults import POINTS
-
-    problems = []
-    if current["violations"]:
-        problems.append(
-            f"chaos: {current['violations']} invariant violation(s): "
-            + "; ".join(current["violation_descriptions"][:3])
-        )
-    unknown = sorted(set(current["faults_fired"]) - set(POINTS))
-    if unknown:
-        problems.append(
-            f"chaos: faults fired at unknown injection point(s) {unknown} "
-            "(fault-counter shape is broken!)"
-        )
-    if not current["faults_total"]:
-        problems.append(
-            "chaos: the campaign injected no faults at all "
-            "(the injector is wired out?)"
-        )
-    if sum(current["settled"].values()) != current["jobs"]:
-        problems.append(
-            f"chaos: {current['jobs']} jobs submitted but only "
-            f"{sum(current['settled'].values())} settled"
-        )
-    base_seeds = baseline.get("seeds")
-    if base_seeds and current["seeds"] < base_seeds:
-        problems.append(
-            f"chaos: seed coverage shrank {base_seeds} -> "
-            f"{current['seeds']} (wall budget hit?)"
-        )
-    base_wall = baseline.get("wall_s")
-    if base_wall and current["wall_s"] > base_wall * threshold:
-        problems.append(
-            f"chaos: campaign wall time regressed "
-            f"{base_wall:.2f}s -> {current['wall_s']:.2f}s"
-        )
-    return problems
 
 
 def measure_conformance(workers: int = 4) -> dict:
@@ -878,41 +620,6 @@ def measure_conformance(workers: int = 4) -> dict:
     }
 
 
-def compare_conformance(
-    current: dict, baseline: dict, threshold: float
-) -> list[str]:
-    """Conformance regressions: oracle failures and golden drift are
-    absolute (zero, always — drift is re-blessed, never waved through);
-    the matrix shape must match the baseline; wall time by ratio."""
-    problems = []
-    if current["failures"]:
-        problems.append(
-            f"conformance: {current['failures']} oracle/scheduler "
-            "failure(s): "
-            + "; ".join(current["failure_descriptions"][:3])
-        )
-    if current["drift"]:
-        problems.append(
-            f"conformance: {current['drift']} golden drift(s): "
-            + "; ".join(current["drift_descriptions"][:3])
-            + " — intentional changes are re-recorded with "
-            "'hrms-conformance --bless'"
-        )
-    for key in ("kernels", "cells_ok", "cells_skipped", "oracle_checks"):
-        if key in baseline and current[key] != baseline[key]:
-            problems.append(
-                f"conformance: {key} changed {baseline[key]} -> "
-                f"{current[key]} (the matrix is no longer deterministic!)"
-            )
-    base_wall = baseline.get("wall_s")
-    if base_wall and current["wall_s"] > base_wall * threshold:
-        problems.append(
-            f"conformance: matrix wall time regressed "
-            f"{base_wall:.2f}s -> {current['wall_s']:.2f}s"
-        )
-    return problems
-
-
 def measure_portfolio(size: int = 160) -> dict:
     """Portfolio tier: race 5 heuristics on the 160-op workload.
 
@@ -946,90 +653,338 @@ def measure_portfolio(size: int = 160) -> dict:
     }
 
 
-def compare_portfolio(current: dict, baseline: dict, threshold: float) -> list[str]:
-    """Portfolio regressions: wall time by ratio; winner identity,
-    achieved II/MaxLive and completion count must not change at all."""
+def measure_docs() -> dict:
+    """Docs tier: the documentation consistency gate
+    (``scripts/check_docs.py``).  Not recorded in the baseline."""
+    from check_docs import check_docs
+
+    problems = check_docs(REPO_ROOT)
+    return {"problems": len(problems), "problem_descriptions": problems}
+
+
+# -- the registry -----------------------------------------------------
+
+#: Rule kind -> (failure test, problem text).  A failure test takes the
+#: current value, the baseline's, the rule's bound and ``--threshold``;
+#: the text may also use ``now_r``/``was_r``, their shortened reprs.
+RULE_KINDS: dict[str, tuple[Callable[..., bool], str]] = {
+    "exact": (lambda now, was, bound, t: now != was,
+              "changed {was_r} -> {now_r}"),
+    "true": (lambda now, was, bound, t: not now, "is {now_r}, must be true"),
+    "zero": (lambda now, was, bound, t: bool(now), "is {now_r}, must be zero"),
+    "floor": (lambda now, was, bound, t: now < bound,
+              "{now:.3f} < floor {bound}"),
+    "ceiling": (lambda now, was, bound, t: now > bound,
+                "{now:.3f} > ceiling {bound}"),
+    "lower": (lambda now, was, bound, t: bool(was) and now > was * t,
+              "regressed {was:.4g} -> {now:.4g} (over {t}x)"),
+    "higher": (lambda now, was, bound, t: bool(was) and now < was / t,
+               "regressed {was:.4g} -> {now:.4g} (under 1/{t}x)"),
+    "not_below": (lambda now, was, bound, t: bool(was) and now < was,
+                  "fell {was_r} -> {now_r}"),
+}
+#: Kinds that compare against the baseline; they are skipped when the
+#: baseline lacks the key.  The others are absolute.
+BASELINE_KINDS = frozenset({"exact", "lower", "higher", "not_below"})
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One gated key of a tier and the kind of check it gets."""
+
+    key: str
+    kind: str
+    bound: float | None = None
+    #: Appended to the problem line, e.g. what broke or how to fix it.
+    hint: str = ""
+    #: Key of the failure descriptions a ``zero`` rule quotes.
+    detail: str | None = None
+    #: Derives the checked value from the row instead of ``row[key]``.
+    value: Callable[[dict], Any] | None = None
+    #: The rule applies only when ``when(row, baseline_row)`` holds.
+    when: Callable[[dict, dict], bool] | None = None
+
+    def describe(self) -> str:
+        text = self.kind if self.bound is None else f"{self.kind} {self.bound}"
+        return text if self.when is None else f"{text} if {self.when.__name__}"
+
+    def check(self, row: dict, base: dict, threshold: float) -> str | None:
+        """The problem with *row* against baseline row *base*, or None."""
+        if self.when is not None and not self.when(row, base):
+            return None
+        if self.kind in BASELINE_KINDS and self.key not in base:
+            return None
+        fails, message = RULE_KINDS[self.kind]
+        now = self.value(row) if self.value else row[self.key]
+        was = base.get(self.key)
+        if not fails(now, was, self.bound, threshold):
+            return None
+        problem = f"{self.key} " + message.format(
+            now=now, was=was, bound=self.bound, t=threshold,
+            now_r=_brief(now), was_r=_brief(was),
+        )
+        if self.detail:
+            problem += ": " + "; ".join(map(str, row[self.detail][:3]))
+        return f"{problem} — {self.hint}" if self.hint else problem
+
+
+def _brief(value: Any, width: int = 60) -> str:
+    text = repr(value)
+    return text if len(text) <= width else text[: width - 3] + "..."
+
+
+def rules(kind: str, *keys: str, **options) -> tuple[Rule, ...]:
+    """One *kind* rule, with the same *options*, for each of *keys*."""
+    return tuple(Rule(key, kind, **options) for key in keys)
+
+
+@dataclass(frozen=True)
+class Tier:
+    """One gate tier: what it measures, how it prints, what it gates."""
+
+    name: str
+    description: str
+    measure: Callable[..., dict]
+    #: ``str.format`` template over one measured row.
+    summary: str
+    rules: tuple[Rule, ...]
+    #: The section is ``{size: row}`` and ``measure`` takes the sizes.
+    per_size: bool = False
+    #: The section is written to the baseline JSON.
+    recorded: bool = True
+
+    def rows(self, section: dict) -> dict[str, dict]:
+        if self.per_size:
+            return {f"size {size}": row for size, row in section.items()}
+        return {self.name: section}
+
+
+def cpus_cover_workers(row: dict, base: dict) -> bool:
+    return row["cpus"] >= row["workers"]
+
+
+def cpu_starved_like_baseline(row: dict, base: dict) -> bool:
+    # Only compare speedups measured in the same regime: a baseline
+    # recorded on a multi-core box (say 3x) is meaningless on a 1-CPU
+    # container where ~0.9x is the physical ceiling.
+    return row["cpus"] < row["workers"] and base.get("cpus", 0) < base.get(
+        "workers", row["workers"]
+    )
+
+
+_SAME = "schedules are no longer identical"
+
+#: Every tier, in run order.  ``--tier`` selects by name; ``--update``
+#: writes the recorded sections in this order.
+TIERS: tuple[Tier, ...] = (
+    Tier(
+        "sizes",
+        "MinDist cold/warm + full HRMS schedule on seeded loops "
+        "(II identity gated)",
+        measure_sizes,
+        "mindist cold {mindist_cold_s:.2e}s warm {mindist_warm_s:.2e}s  "
+        "schedule cold {full_schedule_cold_s:.4f}s "
+        "warm {full_schedule_warm_s:.4f}s  (II {ii}, {attempts} attempts)",
+        (
+            Rule("ii", "exact", hint=_SAME),
+            *rules("lower", "mindist_cold_s", "mindist_warm_s",
+                   "full_schedule_cold_s", "full_schedule_warm_s"),
+        ),
+        per_size=True,
+    ),
+    Tier(
+        "engine_sweep",
+        "incremental II-sweep vs fresh per-II solves on a multi-attempt "
+        "160-op loop, plus /v1/batch vs individual submissions (speedup "
+        "floors gated)",
+        measure_engine_sweep,
+        "{attempts}-attempt {size}-op search: sweep {sweep_s:.3f}s vs "
+        "fresh {fresh_s:.3f}s ({sweep_speedup:.2f}x); batch of "
+        "{batch_jobs} jobs {batch_jobs_per_s:.1f} vs "
+        "{individual_jobs_per_s:.1f} jobs/s individually "
+        "({batch_speedup:.2f}x)",
+        (
+            Rule("identical_schedules", "true",
+                 hint="the incremental sweep must match fresh solves"),
+            Rule("identical_batch_iis", "true",
+                 hint="the batch path must not change results"),
+            Rule("sweep_speedup", "floor", SWEEP_SPEEDUP_TARGET,
+                 hint="incremental sweep over fresh per-II solves"),
+            Rule("batch_speedup", "floor", BATCH_SPEEDUP_TARGET,
+                 hint="/v1/batch over individual submissions"),
+            *rules("exact", "ii", "attempts", "batch_iis", hint=_SAME),
+            Rule("sweep_s", "lower"),
+        ),
+    ),
+    Tier(
+        "service",
+        "live HTTP batch over a cold store (throughput + p95 latency)",
+        measure_service,
+        "{jobs} jobs in {wall_s:.2f}s ({throughput_jobs_per_s:.1f} "
+        "jobs/s, p95 {p95_latency_s:.4f}s)",
+        (
+            Rule("throughput_jobs_per_s", "higher"),
+            Rule("p95_latency_s", "lower"),
+        ),
+    ),
+    Tier(
+        "portfolio",
+        "5-heuristic race on 160 ops (winner identity gated)",
+        measure_portfolio,
+        "{completed} members ok in {wall_s:.2f}s; winner {winner} "
+        "(II {ii}, MaxLive {maxlive})",
+        (
+            *rules("exact", "winner", "ii", "maxlive",
+                   hint="selection is no longer identical"),
+            Rule("completed", "exact"),
+            Rule("wall_s", "lower"),
+        ),
+    ),
+    Tier(
+        "procpool",
+        "thread vs process backend throughput + artifact parity",
+        measure_procpool,
+        "{jobs} x {size}-op jobs on {workers} workers ({cpus} cpus): "
+        "thread {thread_jobs_per_s:.1f} jobs/s, process "
+        "{process_jobs_per_s:.1f} jobs/s ({speedup:.2f}x), artifacts "
+        "identical: {identical_artifacts}",
+        (
+            Rule("identical_artifacts", "true",
+                 hint="backend parity is broken"),
+            Rule("iis", "exact", hint=_SAME),
+            Rule("speedup", "floor", PROCPOOL_SCALING_TARGET,
+                 when=cpus_cover_workers),
+            Rule("speedup", "higher", when=cpu_starved_like_baseline),
+            Rule("thread_jobs_per_s", "higher"),
+        ),
+    ),
+    Tier(
+        "qa",
+        "fixed-seed mini fuzzing campaign (zero oracle failures gated)",
+        measure_qa,
+        "{cases} cases, {schedules} schedules, {checks} oracle checks, "
+        "{skipped} skipped, {failures} failure(s) in {wall_s:.1f}s",
+        (
+            Rule("failures", "zero", detail="failure_descriptions"),
+            *rules("exact", "cases", "schedules", "checks", "skipped",
+                   hint="the campaign is no longer deterministic"),
+            Rule("wall_s", "lower"),
+        ),
+    ),
+    Tier(
+        "chaos",
+        "seeded fault-injection mini-campaign (zero invariant violations "
+        "gated)",
+        measure_chaos,
+        "{seeds} seeds, {jobs} jobs, {faults_total} faults, "
+        "{violations} violation(s) in {wall_s:.1f}s",
+        (
+            Rule("violations", "zero", detail="violation_descriptions"),
+            Rule("faults_fired", "zero",
+                 value=lambda row: sorted(row["faults_fired"].keys() - POINTS),
+                 hint="faults fired at unknown injection points"),
+            Rule("faults_total", "true",
+                 hint="the campaign injected no faults"),
+            Rule("settled", "zero",
+                 value=lambda row: row["jobs"] - sum(row["settled"].values()),
+                 hint="jobs submitted minus jobs settled"),
+            Rule("seeds", "not_below", hint="wall budget hit?"),
+            Rule("wall_s", "lower"),
+        ),
+    ),
+    Tier(
+        "obs",
+        "tracing overhead <= 2%, artifact parity, stats determinism",
+        measure_obs,
+        "{size}-op schedule {disabled_s:.4f}s disarmed, {enabled_s:.4f}s "
+        "traced ({overhead_ratio:.3f}x), artifacts identical: "
+        "{identical_artifacts}, stats deterministic: "
+        "{stats_deterministic}",
+        (
+            Rule("identical_artifacts", "true",
+                 hint="instrumentation is perturbing the schedules"),
+            Rule("stats_deterministic", "true",
+                 hint="the semantic layer is non-deterministic"),
+            Rule("overhead_ratio", "ceiling", OBS_OVERHEAD_TARGET),
+            Rule("stats_rows", "exact",
+                 hint="rerun with --update if intended"),
+            Rule("disabled_s", "lower"),
+        ),
+    ),
+    Tier(
+        "conformance",
+        "golden kernel matrix, heuristics-only (zero drift gated)",
+        measure_conformance,
+        "{kernels} kernels, {cells_ok} cells ok / {cells_skipped} "
+        "skipped, {oracle_checks} oracle checks, {failures} failure(s), "
+        "{drift} drift(s) in {wall_s:.1f}s",
+        (
+            Rule("failures", "zero", detail="failure_descriptions"),
+            Rule("drift", "zero", detail="drift_descriptions",
+                 hint="re-record with `hrms-conformance --bless`"),
+            *rules("exact", "kernels", "cells_ok", "cells_skipped",
+                   "oracle_checks"),
+            Rule("wall_s", "lower"),
+        ),
+    ),
+    Tier(
+        "docs",
+        "documentation consistency gate (scripts/check_docs.py)",
+        measure_docs,
+        "{problems} problem(s)",
+        (Rule("problems", "zero", detail="problem_descriptions"),),
+        recorded=False,
+    ),
+)
+
+
+def check_tier(
+    tier: Tier, section: dict, baseline: dict, threshold: float
+) -> list[str]:
+    """Every rule of *tier* checked on *section* against its *baseline*
+    section (``{}`` when the baseline has none)."""
+    base_rows = tier.rows(baseline)
     problems = []
-    for key in ("winner", "ii", "maxlive"):
-        if key in baseline and current[key] != baseline[key]:
-            problems.append(
-                f"portfolio: {key} changed "
-                f"{baseline[key]!r} -> {current[key]!r} "
-                "(selection is no longer identical!)"
-            )
-    if "completed" in baseline and current["completed"] != baseline["completed"]:
-        problems.append(
-            f"portfolio: members completing changed "
-            f"{baseline['completed']} -> {current['completed']}"
-        )
-    base_wall = baseline.get("wall_s")
-    if base_wall and current["wall_s"] > base_wall * threshold:
-        problems.append(
-            f"portfolio: race wall time regressed "
-            f"{base_wall:.4f}s -> {current['wall_s']:.4f}s"
-        )
+    for label, row in tier.rows(section).items():
+        base = base_rows.get(label, {})
+        for rule in tier.rules:
+            problem = rule.check(row, base, threshold)
+            if problem:
+                problems.append(f"{label}: {problem}")
     return problems
 
 
-def compare_service(current: dict, baseline: dict, threshold: float) -> list[str]:
-    """Service regressions: throughput is higher-is-better, latency
-    lower-is-better; both gated by the same ratio threshold."""
-    problems = []
-    base_rate = baseline.get("throughput_jobs_per_s")
-    if base_rate and current["throughput_jobs_per_s"] < base_rate / threshold:
-        problems.append(
-            f"service: throughput regressed "
-            f"{base_rate:.1f} -> {current['throughput_jobs_per_s']:.1f} jobs/s"
-        )
-    base_p95 = baseline.get("p95_latency_s")
-    if base_p95 and current["p95_latency_s"] > base_p95 * threshold:
-        problems.append(
-            f"service: p95 latency regressed "
-            f"{base_p95:.4f}s -> {current['p95_latency_s']:.4f}s"
-        )
-    return problems
+def build_document(measured: dict, baseline_doc: dict) -> dict:
+    """The baseline JSON for this run: measured sections, per-size rows
+    merged into the old ones, and the old sections of tiers that did
+    not run carried forward."""
+    document = {
+        "meta": {
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "note": "min-of-N timings from scripts/perf_check.py; "
+            "see PERFORMANCE.md",
+        },
+    }
+    for tier in TIERS:
+        if not tier.recorded:
+            continue
+        old = baseline_doc.get(tier.name)
+        new = measured.get(tier.name)
+        if tier.per_size and old is not None and new is not None:
+            # Keep sizes this run did not measure (e.g. the slow 512).
+            new = {**old, **new}
+        section = old if new is None else new
+        if section is not None:
+            document[tier.name] = section
+    # Seed numbers are historical context; carry them forward.
+    if "seed_reference" in baseline_doc:
+        document["seed_reference"] = baseline_doc["seed_reference"]
+    return document
 
 
-def run_measurements(sizes) -> dict:
-    machine = perfect_club_machine()
-    results = {}
-    for size in sizes:
-        results[str(size)] = measure_size(size, machine)
-        row = results[str(size)]
-        print(
-            f"  size {size:>4}: mindist cold {row['mindist_cold_s'] * 1e3:8.2f} ms"
-            f"  warm {row['mindist_warm_s'] * 1e6:8.1f} us"
-            f"  schedule cold {row['full_schedule_cold_s'] * 1e3:8.1f} ms"
-            f"  warm {row['full_schedule_warm_s'] * 1e3:8.1f} ms"
-            f"  (II {row['ii']}, {row['attempts']} attempts)"
-        )
-    return results
-
-
-def compare(current: dict, baseline: dict, threshold: float) -> list[str]:
-    problems = []
-    for size, base_row in baseline.items():
-        row = current.get(size)
-        if row is None:
-            continue  # size not measured this run
-        if row["ii"] != base_row["ii"]:
-            problems.append(
-                f"size {size}: II changed {base_row['ii']} -> {row['ii']} "
-                "(schedules are no longer identical!)"
-            )
-        for key in TIMING_KEYS:
-            if key not in base_row:
-                continue
-            ratio = row[key] / base_row[key] if base_row[key] else 1.0
-            if ratio > threshold:
-                problems.append(
-                    f"size {size}: {key} regressed {ratio:.2f}x "
-                    f"({base_row[key]:.6f}s -> {row[key]:.6f}s)"
-                )
-    return problems
-
-
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    names = [tier.name for tier in TIERS]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--baseline", type=Path, default=DEFAULT_BASELINE,
@@ -1050,71 +1005,26 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--list-tiers", action="store_true",
-        help="print the tier catalog (name + one-line description) "
-             "and exit",
+        help="print the tier catalog (name, description, gated keys and "
+             "their rules) and exit",
     )
     parser.add_argument(
-        "--no-engine-sweep", action="store_true",
-        help="skip the engine_sweep tier (incremental II-sweep vs "
-             "fresh solves + batch-vs-individual submissions)",
-    )
-    parser.add_argument(
-        "--no-service", action="store_true",
-        help="skip the service smoke tier (HTTP batch over a live server)",
-    )
-    parser.add_argument(
-        "--no-portfolio", action="store_true",
-        help="skip the portfolio tier (5-heuristic race on 160 ops)",
-    )
-    parser.add_argument(
-        "--no-procpool", action="store_true",
-        help="skip the procpool tier (thread-vs-process backend "
-             "throughput on the 160-op workload)",
-    )
-    parser.add_argument(
-        "--no-docs", action="store_true",
-        help="skip the documentation consistency gate "
-             "(scripts/check_docs.py)",
-    )
-    parser.add_argument(
-        "--no-qa", action="store_true",
-        help="skip the QA tier (fixed-seed mini fuzzing campaign, "
-             "zero oracle failures gated)",
-    )
-    parser.add_argument(
-        "--no-chaos", action="store_true",
-        help="skip the chaos tier (seeded fault-injection mini-campaign, "
-             "zero invariant violations gated)",
-    )
-    parser.add_argument(
-        "--no-obs", action="store_true",
-        help="skip the obs tier (tracing overhead <= 2%%, artifact "
-             "parity tracing on/off, stats determinism)",
-    )
-    parser.add_argument(
-        "--no-conformance", action="store_true",
-        help="skip the conformance tier (golden kernel matrix, "
-             "heuristics-only; fails on any oracle failure or golden "
-             "drift)",
-    )
-    parser.add_argument(
-        "--tier", action="append", choices=TIER_NAMES, metavar="NAME",
+        "--tier", action="append", choices=names, metavar="NAME",
         help="run only the named tier(s) — repeatable; one of "
-        f"{', '.join(TIER_NAMES)}.  Default: every tier not disabled "
-        "by a --no-* flag",
+        f"{', '.join(names)}.  Default: every tier",
     )
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.list_tiers:
-        for name, description in TIER_DESCRIPTIONS.items():
-            print(f"{name:<14} {description}")
+        for tier in TIERS:
+            print(f"{tier.name:<14} {tier.description}")
+            for rule in tier.rules:
+                print(f"{'':<16}{rule.key:<24} {rule.describe()}")
         return 0
-    if args.tier:
-        enabled = set(args.tier)
-    else:
-        enabled = set(TIER_NAMES)
-        for name in TIER_NAMES:
-            if getattr(args, f"no_{name}", False):
-                enabled.discard(name)
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s]
     except ValueError:
@@ -1123,221 +1033,43 @@ def main(argv=None) -> int:
     if not sizes or any(size < 2 for size in sizes):
         parser.error(f"--sizes wants loop sizes >= 2, got {args.sizes!r}")
 
-    current = {}
-    if "sizes" in enabled:
-        print(f"perf_check: measuring sizes {sizes} ...")
-        current = run_measurements(sizes)
-    engine_sweep = None
-    if "engine_sweep" in enabled:
-        print("perf_check: engine_sweep tier (II-sweep + batch path) ...")
-        engine_sweep = measure_engine_sweep()
-        print(
-            f"  engine_sweep: {engine_sweep['attempts']}-attempt "
-            f"{engine_sweep['size']}-op search "
-            f"sweep {engine_sweep['sweep_s'] * 1e3:.0f} ms vs "
-            f"fresh {engine_sweep['fresh_s'] * 1e3:.0f} ms "
-            f"({engine_sweep['sweep_speedup']:.2f}x); batch "
-            f"{engine_sweep['batch_jobs']} jobs "
-            f"{engine_sweep['batch_jobs_per_s']:.1f} vs "
-            f"{engine_sweep['individual_jobs_per_s']:.1f} jobs/s "
-            f"({engine_sweep['batch_speedup']:.2f}x)"
-        )
-    service = None
-    if "service" in enabled:
-        print("perf_check: service smoke tier (live HTTP batch) ...")
-        service = measure_service()
-        print(
-            f"  service: {service['jobs']} jobs in {service['wall_s']:.2f}s"
-            f"  ({service['throughput_jobs_per_s']:.1f} jobs/s, "
-            f"p95 {service['p95_latency_s'] * 1e3:.1f} ms)"
-        )
-    portfolio = None
-    if "portfolio" in enabled:
-        print("perf_check: portfolio tier (5-heuristic race, 160 ops) ...")
-        portfolio = measure_portfolio()
-        print(
-            f"  portfolio: {portfolio['completed']}/"
-            f"{len(portfolio['members'])} members in "
-            f"{portfolio['wall_s']:.2f}s; winner {portfolio['winner']} "
-            f"(II {portfolio['ii']}, MaxLive {portfolio['maxlive']})"
-        )
-    procpool = None
-    if "procpool" in enabled:
-        print("perf_check: procpool tier (thread vs process backend) ...")
-        procpool = measure_procpool()
-        print(
-            f"  procpool: {procpool['jobs']} x {procpool['size']}-op jobs "
-            f"on {procpool['workers']} workers ({procpool['cpus']} cpus): "
-            f"thread {procpool['thread_jobs_per_s']:.1f} jobs/s, "
-            f"process {procpool['process_jobs_per_s']:.1f} jobs/s "
-            f"({procpool['speedup']:.2f}x), artifacts identical: "
-            f"{procpool['identical_artifacts']}"
-        )
-    qa = None
-    if "qa" in enabled:
-        print("perf_check: qa tier (fixed-seed mini fuzzing campaign) ...")
-        qa = measure_qa()
-        print(
-            f"  qa: {qa['cases']} cases, {qa['schedules']} schedules, "
-            f"{qa['checks']} oracle checks, {qa['skipped']} skipped, "
-            f"{qa['failures']} failure(s) in {qa['wall_s']:.1f}s"
-        )
-    chaos = None
-    if "chaos" in enabled:
-        print("perf_check: chaos tier (seeded fault-injection campaign) ...")
-        chaos = measure_chaos()
-        print(
-            f"  chaos: {chaos['seeds']} seeds, {chaos['jobs']} jobs, "
-            f"{chaos['faults_total']} faults across "
-            f"{len(chaos['faults_fired'])} point(s), "
-            f"{chaos['violations']} violation(s) in {chaos['wall_s']:.1f}s"
-        )
-    obs = None
-    if "obs" in enabled:
-        print("perf_check: obs tier (tracing overhead + stats) ...")
-        obs = measure_obs()
-        print(
-            f"  obs: {obs['size']}-op schedule "
-            f"{obs['disabled_s'] * 1e3:.1f} ms disarmed, "
-            f"{obs['enabled_s'] * 1e3:.1f} ms traced "
-            f"({obs['overhead_ratio']:.3f}x), artifacts identical: "
-            f"{obs['identical_artifacts']}, stats deterministic: "
-            f"{obs['stats_deterministic']}"
-        )
-    conformance = None
-    if "conformance" in enabled:
-        print("perf_check: conformance tier (golden kernel matrix) ...")
-        conformance = measure_conformance()
-        print(
-            f"  conformance: {conformance['kernels']} kernels, "
-            f"{conformance['cells_ok']} cells ok / "
-            f"{conformance['cells_skipped']} skipped, "
-            f"{conformance['oracle_checks']} oracle checks, "
-            f"{conformance['failures']} failure(s), "
-            f"{conformance['drift']} drift(s) in "
-            f"{conformance['wall_s']:.1f}s"
-        )
-    docs_problems: list[str] = []
-    if "docs" in enabled:
-        print("perf_check: documentation consistency gate ...")
-        from check_docs import check_docs
+    selected = [t for t in TIERS if not args.tier or t.name in args.tier]
+    measured = {}
+    for tier in selected:
+        print(f"perf_check: {tier.name} tier ...")
+        section = tier.measure(sizes) if tier.per_size else tier.measure()
+        for label, row in tier.rows(section).items():
+            print(f"  {label}: {tier.summary.format(**row)}")
+        measured[tier.name] = section
 
-        docs_problems = [f"docs: {p}" for p in check_docs(REPO_ROOT)]
-        print(
-            "  docs: ok"
-            if not docs_problems
-            else f"  docs: {len(docs_problems)} problem(s)"
-        )
-
-    document = {
-        "meta": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "note": "min-of-N timings from scripts/perf_check.py; "
-            "see PERFORMANCE.md",
-        },
-        "sizes": current,
-    }
-    if engine_sweep is not None:
-        document["engine_sweep"] = engine_sweep
-    if service is not None:
-        document["service"] = service
-    if portfolio is not None:
-        document["portfolio"] = portfolio
-    if procpool is not None:
-        document["procpool"] = procpool
-    if qa is not None:
-        document["qa"] = qa
-    if chaos is not None:
-        document["chaos"] = chaos
-    if obs is not None:
-        document["obs"] = obs
-    if conformance is not None:
-        document["conformance"] = conformance
-
-    if args.baseline.exists():
-        baseline_doc = json.loads(args.baseline.read_text())
-        # Seed numbers are historical context; carry them forward.
-        if "seed_reference" in baseline_doc:
-            document["seed_reference"] = baseline_doc["seed_reference"]
-        if args.update:
-            # Keep baseline entries for sizes this run did not measure
-            # (e.g. the slow 512 tier) instead of silently dropping them.
-            merged = dict(baseline_doc.get("sizes", {}))
-            merged.update(document["sizes"])
-            document["sizes"] = merged
-            if engine_sweep is None and "engine_sweep" in baseline_doc:
-                document["engine_sweep"] = baseline_doc["engine_sweep"]
-            if service is None and "service" in baseline_doc:
-                document["service"] = baseline_doc["service"]
-            if portfolio is None and "portfolio" in baseline_doc:
-                document["portfolio"] = baseline_doc["portfolio"]
-            if procpool is None and "procpool" in baseline_doc:
-                document["procpool"] = baseline_doc["procpool"]
-            if qa is None and "qa" in baseline_doc:
-                document["qa"] = baseline_doc["qa"]
-            if chaos is None and "chaos" in baseline_doc:
-                document["chaos"] = baseline_doc["chaos"]
-            if obs is None and "obs" in baseline_doc:
-                document["obs"] = baseline_doc["obs"]
-            if conformance is None and "conformance" in baseline_doc:
-                document["conformance"] = baseline_doc["conformance"]
-            args.baseline.write_text(json.dumps(document, indent=2) + "\n")
-            print(f"perf_check: baseline updated -> {args.baseline}")
-            return 0
-        problems = compare(current, baseline_doc.get("sizes", {}),
-                           args.threshold)
-        if engine_sweep is not None:
-            problems += compare_engine_sweep(
-                engine_sweep, baseline_doc.get("engine_sweep", {}),
-                args.threshold,
-            )
-        if service is not None and "service" in baseline_doc:
-            problems += compare_service(
-                service, baseline_doc["service"], args.threshold
-            )
-        if portfolio is not None and "portfolio" in baseline_doc:
-            problems += compare_portfolio(
-                portfolio, baseline_doc["portfolio"], args.threshold
-            )
-        if procpool is not None and "procpool" in baseline_doc:
-            problems += compare_procpool(
-                procpool, baseline_doc["procpool"], args.threshold
-            )
-        if qa is not None:
-            problems += compare_qa(
-                qa, baseline_doc.get("qa", {}), args.threshold
-            )
-        if chaos is not None:
-            problems += compare_chaos(
-                chaos, baseline_doc.get("chaos", {}), args.threshold
-            )
-        if obs is not None:
-            problems += compare_obs(
-                obs, baseline_doc.get("obs", {}), args.threshold
-            )
-        if conformance is not None:
-            problems += compare_conformance(
-                conformance, baseline_doc.get("conformance", {}),
-                args.threshold,
-            )
-        problems += docs_problems
-        if problems:
-            print("\nperf_check: PERFORMANCE REGRESSION")
-            for problem in problems:
-                print(f"  !! {problem}")
-            return 1
-        print(f"perf_check: ok (within {args.threshold}x of baseline)")
+    exists = args.baseline.exists()
+    baseline_doc = json.loads(args.baseline.read_text()) if exists else {}
+    if args.update:
+        document = build_document(measured, baseline_doc)
+        args.baseline.write_text(json.dumps(document, indent=2) + "\n")
+        verb = "updated" if exists else "recorded"
+        print(f"perf_check: baseline {verb} -> {args.baseline}")
         return 0
-
-    if not args.update:
+    if not exists:
         print(
             f"perf_check: no baseline at {args.baseline}; "
             "run with --update to record one"
         )
         return 1
-    args.baseline.write_text(json.dumps(document, indent=2) + "\n")
-    print(f"perf_check: first baseline recorded -> {args.baseline}")
+    problems = [
+        problem
+        for tier in selected
+        for problem in check_tier(
+            tier, measured[tier.name], baseline_doc.get(tier.name, {}),
+            args.threshold,
+        )
+    ]
+    if problems:
+        print("\nperf_check: PERFORMANCE REGRESSION")
+        for problem in problems:
+            print(f"  !! {problem}")
+        return 1
+    print(f"perf_check: ok (within {args.threshold}x of baseline)")
     return 0
 
 

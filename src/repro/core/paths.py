@@ -32,15 +32,12 @@ def search_all_paths(
 ) -> set[str]:
     """Nodes on any directed path between members of *seeds*.
 
-    ``exclude`` nodes are removed from the traversal entirely (unless they
-    are seeds themselves, which would be a caller bug and raises).
+    ``exclude`` nodes are removed from the traversal entirely, unless
+    they are seeds themselves: a node that is both a seed and excluded
+    stays a seed, which is what the recurrence-ordering caller wants.
     """
     seed_set = set(seeds)
     blocked = set(exclude) - seed_set
-    if seed_set & set(exclude) and blocked != set(exclude):
-        # A node cannot be both a seed and excluded; being a seed wins,
-        # which is what the recurrence-ordering caller wants.
-        pass
 
     forward = _reach(graph, seed_set, blocked, forward=True)
     backward = _reach(graph, seed_set, blocked, forward=False)

@@ -463,6 +463,11 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     server_version = "hrms-service/1"
     protocol_version = "HTTP/1.1"
+    # Buffer the response writer so headers and body leave in one send
+    # (``handle_one_request`` flushes after each request).  Unbuffered,
+    # they go out as two segments and a keep-alive client stalls every
+    # response on Nagle's algorithm plus delayed ACK (~40 ms).
+    wbufsize = -1
     service: SchedulingService  # injected by make_server
 
     # Silence the default stderr-per-request logging; with

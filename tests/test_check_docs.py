@@ -88,6 +88,27 @@ class TestGateTrips:
             for p in problems
         )
 
+    def test_dead_perf_check_command_reported(self, tmp_path):
+        repo = self._repo(
+            tmp_path,
+            "hrms-serve hrms topdown bottomup slack sms ims frlc spilp "
+            "optreg portfolio. Skip a tier with `perf_check.py --no-qa`; "
+            "list them with `scripts/perf_check.py --list-tiers`.",
+        )
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "X.md").write_text(
+            "- run:\n"
+            "  ```sh\n"
+            "  python scripts/perf_check.py --tier qa   # one tier\n"
+            "  python scripts/perf_check.py --tier nope | tee log\n"
+            "  ```\n",
+            encoding="utf-8",
+        )
+        problems = check_docs(repo)
+        assert len(problems) == 2
+        assert any("README.md" in p and "--no-qa" in p for p in problems)
+        assert any("docs/X.md" in p and "'nope'" in p for p in problems)
+
     def test_substring_does_not_satisfy_scheduler_mention(self, tmp_path):
         # "hrms-serve" must not count as a mention of scheduler "hrms"...
         # it does contain it as a word-boundary token, so use a harder

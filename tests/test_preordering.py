@@ -61,6 +61,10 @@ class TestSearchAllPaths:
         h = HypernodeGraph(g)
         # Path a->h->b exists, but h is excluded: only seeds remain.
         assert search_all_paths(h, {"a", "b"}, exclude=("h",)) == {"a", "b"}
+        # A seed that is also excluded stays a seed: the path is open.
+        assert search_all_paths(
+            h, {"a", "h", "b"}, exclude=("h",)
+        ) == {"a", "h", "b"}
 
     def test_off_path_nodes_not_included(self):
         g = (

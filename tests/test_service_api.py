@@ -52,6 +52,28 @@ class TestEndToEnd:
         assert "hrms_queue_depth" in text
         assert "hrms_store_hit_rate" in text
 
+    def test_keep_alive_responses_do_not_stall(self, server):
+        """Each response leaves as one send: split header/body writes
+        stall a keep-alive client ~40 ms per request (Nagle + delayed
+        ACK), so ten requests would take ~400 ms instead of a few."""
+        import http.client
+        import time
+        from urllib.parse import urlparse
+
+        url = urlparse(server.url)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+        try:
+            began = time.perf_counter()
+            for _ in range(10):
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+            elapsed = time.perf_counter() - began
+        finally:
+            conn.close()
+        assert elapsed < 0.2, f"10 keep-alive GETs took {elapsed:.3f}s"
+
     def test_submit_poll_fetch_graph_job(self, client, gov_machine, gov_suite):
         loop = gov_suite[0]
         job_id = client.submit_graph(loop.graph, machine="govindarajan")
