@@ -7,8 +7,9 @@ declared in ``setup.py`` and every scheduler registered in
 every relative link in the README and ``docs/`` must resolve to a
 real file, every backticked dotted ``repro.…`` name in
 ``README.md``, ``PERFORMANCE.md`` and ``docs/*.md`` must import and
-resolve, and every ``perf_check.py …`` command line in the code of the
-docs that describe the perf gate must parse with its argument parser.
+resolve, and every ``perf_check.py …`` and ``hrms-experiments …``
+command line in the code of the docs must parse with that program's
+argument parser.
 Anything less means the docs have rotted relative to the code — which
 this script turns into a loud failure instead of a confused user.
 
@@ -48,13 +49,35 @@ _REPRO_NAME = re.compile(r"(?<![\w.-])repro(?:\.[A-Za-z_]\w*)+")
 #: Fenced code blocks (also indented ones, inside list items).
 _FENCE = re.compile(r"^[ \t]*```.*?^[ \t]*```", flags=re.M | re.S)
 
-#: A perf-gate invocation: its arguments run to the end of the line or
-#: of the code span, or to a shell operator.
-_PERF_CHECK_CALL = re.compile(r"perf_check\.py\b([^\n|;&<>]*)")
+#: The docs whose code may show command lines.
+_COMMAND_DOCS = ("README.md", "PERFORMANCE.md", "benchmarks/README.md",
+                 "docs/*.md", ".claude/skills/verify/SKILL.md")
 
-#: The docs whose code may show perf-gate command lines.
-_PERF_CHECK_DOCS = ("README.md", "PERFORMANCE.md", "benchmarks/README.md",
-                    "docs/*.md", ".claude/skills/verify/SKILL.md")
+
+def _perf_check_parser():
+    from perf_check import build_parser
+
+    return build_parser()
+
+
+def _experiments_parser():
+    from repro.experiments.cli import build_parser
+
+    return build_parser()
+
+
+#: The commands whose doc invocations are checked: name -> (invocation
+#: pattern, parser factory).  An invocation's arguments run to the end
+#: of the line or of the code span, or to a shell operator.
+_COMMANDS = {
+    name: (re.compile(rf"(?:{pattern})\b([^\n|;&<>`]*)"), parser)
+    for name, pattern, parser in (
+        ("perf_check.py", r"perf_check\.py", _perf_check_parser),
+        ("hrms-experiments",
+         r"hrms-experiments|-m repro\.experiments\.cli",
+         _experiments_parser),
+    )
+}
 
 
 def console_scripts(setup_py: Path) -> list[str]:
@@ -81,22 +104,25 @@ def repro_names(markdown: Path) -> list[str]:
     return names
 
 
-def perf_check_calls(markdown: Path) -> list[list[str]]:
-    """The argument lists of every ``perf_check.py`` command line in
-    *markdown*'s fenced blocks and inline code spans."""
+def command_calls(markdown: Path) -> list[tuple[str, list[str]]]:
+    """``(command, argv)`` for every checked command line in
+    *markdown*'s fenced blocks and inline code spans.  A bare command
+    name, with no arguments, is a mention rather than a call."""
     text = markdown.read_text(encoding="utf-8")
     snippets = _FENCE.findall(text) + _CODE_SPAN.findall(_FENCE.sub("", text))
-    return [
-        shlex.split(match.group(1), comments=True)
-        for snippet in snippets
-        for match in _PERF_CHECK_CALL.finditer(snippet)
-    ]
+    calls = []
+    for snippet in snippets:
+        for name, (pattern, _) in _COMMANDS.items():
+            for match in pattern.finditer(snippet):
+                argv = shlex.split(match.group(1), comments=True)
+                if argv:
+                    calls.append((name, argv))
+    return calls
 
 
-def perf_check_rejects(argv: list[str]) -> str | None:
-    """Why ``scripts/perf_check.py`` would refuse *argv*, or None."""
-    from perf_check import build_parser
-
+def command_rejects(name: str, argv: list[str]) -> str | None:
+    """Why command *name*'s argument parser would refuse *argv*, or None."""
+    _, build_parser = _COMMANDS[name]
     stderr = io.StringIO()
     try:
         with contextlib.redirect_stderr(stderr), \
@@ -180,14 +206,14 @@ def check_docs(repo_root: Path) -> list[str]:
                     "which does not import"
                 )
 
-    for pattern in _PERF_CHECK_DOCS:
+    for pattern in _COMMAND_DOCS:
         for markdown in sorted(repo_root.glob(pattern)):
-            for argv in perf_check_calls(markdown):
-                reason = perf_check_rejects(argv)
+            for name, argv in command_calls(markdown):
+                reason = command_rejects(name, argv)
                 if reason:
                     problems.append(
                         f"{markdown.relative_to(repo_root)} runs "
-                        f"`perf_check.py {shlex.join(argv)}`: {reason}"
+                        f"`{name} {shlex.join(argv)}`: {reason}"
                     )
     return problems
 
@@ -201,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print("check_docs: ok (README covers every entry point and scheduler; "
           "every documented repro name imports; every perf_check.py "
-          "command line parses)")
+          "and hrms-experiments command line parses)")
     return 0
 
 

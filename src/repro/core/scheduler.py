@@ -37,8 +37,6 @@ from typing import Any
 
 from repro.core.ordering import OrderingResult, hrms_order
 from repro.engine.session import SchedulingSession
-from repro.graph.ddg import DependenceGraph
-from repro.machine.machine import MachineModel
 from repro.schedulers.base import ModuloScheduler, bidirectional_ladder
 
 
@@ -70,9 +68,3 @@ class HRMSScheduler(ModuloScheduler):
     ) -> dict[str, int] | None:
         ordering: OrderingResult = context
         return bidirectional_ladder(session, ii, ordering.order)
-
-    def ordering_for(
-        self, graph: DependenceGraph, machine: MachineModel
-    ) -> list[str]:
-        """Expose the pre-ordering (tests and the ablation study use this)."""
-        return self.prepare(SchedulingSession(graph, machine)).order

@@ -156,21 +156,23 @@ def solve(
 def warm_start() -> None:
     """Exercise the engine's hot code paths once, in this process.
 
-    Process-pool backends (:mod:`repro.service.procpool`,
-    :mod:`repro.experiments.procmap`) call this from their worker
-    initializers so the first *real* request does not pay the one-time
-    costs: importing the scheduler stack, materialising the lazy
-    registry, and the first NumPy ufunc dispatch of the plain and
-    slope-augmented Floyd–Warshall sweeps.  The probe runs in one
-    throwaway :class:`~repro.engine.session.SchedulingSession`, so no
-    state outlives the call.
+    Both process pools (the service's :mod:`repro.service.procpool`
+    and :func:`repro.experiments.stats.run_study` with ``jobs > 1``)
+    use this as their worker initializer, so the first *real* request
+    does not pay the one-time costs: importing the scheduler stack,
+    materialising the lazy registry and the machine-config catalog, and
+    the first NumPy ufunc dispatch of the plain and slope-augmented
+    Floyd–Warshall sweeps.  The probe runs in one throwaway
+    :class:`~repro.engine.session.SchedulingSession`, so no state
+    outlives the call.
     """
     from repro.engine.session import SchedulingSession
     from repro.graph.builder import GraphBuilder
-    from repro.machine.configs import motivating_machine
+    from repro.machine.configs import canonical_machines, motivating_machine
     from repro.schedulers.registry import _factories
 
     _factories()  # import every scheduler (incl. the lazy HRMS/portfolio)
+    canonical_machines()
     graph = (
         GraphBuilder("engine-warmup")
         .op("a")

@@ -6,7 +6,7 @@ Regenerates any table or figure of the paper::
     hrms-experiments table1 [--spilp-time-limit 30]
     hrms-experiments table2
     hrms-experiments table3
-    hrms-experiments stats  [--loops 1258] [--jobs 8] [--backend process]
+    hrms-experiments stats  [--loops 1258] [--jobs 8] [--store DIR]
     hrms-experiments fig11  [--loops 1258] [--jobs 8]
     hrms-experiments fig12 | fig13 | fig14
     hrms-experiments ablations
@@ -52,7 +52,10 @@ from repro.workloads.govindarajan import govindarajan_suite
 from repro.workloads.perfectclub import perfect_club_suite
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``hrms-experiments`` argument parser."""
+    from repro.portfolio.policies import policy_names
+
     parser = argparse.ArgumentParser(
         prog="hrms-experiments",
         description="Regenerate the paper's tables and figures.",
@@ -65,8 +68,6 @@ def main(argv: list[str] | None = None) -> int:
             "frontend", "portfolio", "all",
         ],
     )
-    from repro.portfolio.policies import policy_names
-
     parser.add_argument(
         "--policy", choices=policy_names(), default=None,
         help="portfolio selection policy (portfolio artefact only)",
@@ -84,16 +85,9 @@ def main(argv: list[str] | None = None) -> int:
         help="small population + tight solver limits",
     )
     parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="workers for the Perfect-Club study (default: 1 = serial, "
-             "or all cores when a parallel --backend is named; "
-             "0 = all cores)",
-    )
-    parser.add_argument(
-        "--backend", choices=("process", "thread", "serial"), default=None,
-        help="executor for the Perfect-Club study fan-out (default: "
-             "process when --jobs > 1, serial otherwise); 'process' "
-             "runs GIL-free with warm-started workers",
+        "--jobs", type=int, default=1,
+        help="worker processes for the Perfect-Club study (default: 1 = "
+             "in-process; 0 = all cores)",
     )
     parser.add_argument(
         "--store", default=None, metavar="DIR",
@@ -101,6 +95,11 @@ def main(argv: list[str] | None = None) -> int:
              "from and written to DIR, so re-runs skip scheduling "
              "(shared with hrms-serve)",
     )
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.policy is not None and args.artefact != "portfolio":
         parser.error("--policy only applies to the portfolio artefact")
@@ -130,36 +129,16 @@ def main(argv: list[str] | None = None) -> int:
     def get_study():
         nonlocal study
         if study is None:
-            loops = perfect_club_suite(n_loops=args.loops)
-            # An explicit parallel backend with no --jobs means "use the
-            # cores" — not the serial default, which would silently
-            # short-circuit the pool the user just asked for.
-            jobs = args.jobs
-            if jobs is None:
-                jobs = 0 if args.backend in ("process", "thread") else 1
-            mode = args.backend or ("serial" if jobs == 1 else "process")
+            cache = None
             if args.store is not None:
-                # The persistent store makes warm re-runs pure reads, so
-                # route through the cache-aware runner even single-worker.
-                from repro.experiments.runner import run_study_parallel
                 from repro.service.store import persistent_study_cache
 
-                study = run_study_parallel(
-                    loops=loops,
-                    max_workers=jobs if jobs > 0 else None,
-                    mode=mode,
-                    cache=persistent_study_cache(args.store),
-                )
-            elif jobs == 1 and args.backend is None:
-                study = stats_mod.run_study(loops=loops)
-            else:
-                from repro.experiments.runner import run_study_parallel
-
-                study = run_study_parallel(
-                    loops=loops,
-                    max_workers=jobs if jobs > 0 else None,
-                    mode=mode,
-                )
+                cache = persistent_study_cache(args.store)
+            study = stats_mod.run_study(
+                loops=perfect_club_suite(n_loops=args.loops),
+                jobs=args.jobs,
+                cache=cache,
+            )
         return study
 
     for artefact in wanted:

@@ -16,9 +16,14 @@ aggregate statistics the paper quotes are reproduced by
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
+from repro.engine.mindist import graph_fingerprint, warm_start
 from repro.machine.configs import perfect_club_machine
+from repro.machine.machine import MachineModel
 from repro.mii.analysis import compute_mii
 from repro.schedule.maxlive import max_live
 from repro.schedule.schedule import Schedule
@@ -62,32 +67,104 @@ class PerfectStudy:
 def run_study(
     loops: list[Loop] | None = None,
     schedulers: tuple[str, ...] | None = None,
-    machine=None,
+    machine: MachineModel | None = None,
     n_loops: int | None = None,
+    *,
+    jobs: int = 1,
+    cache: Any = None,
 ) -> PerfectStudy:
     """Schedule the population with every scheduler.
 
     ``schedulers=None`` means the registry-derived
     :data:`repro.schedulers.registry.DEFAULT_BATCH_SCHEDULERS`.
+    Structurally identical loops (same graph fingerprint) are scheduled
+    once.  ``jobs=1`` runs in this process; ``jobs > 1`` fans the
+    distinct loops out over that many worker processes, each warmed by
+    :func:`repro.engine.warm_start`; ``jobs=0`` uses every core.
+
+    *cache* is any mapping, read with ``cache.get(key)`` (``None`` is a
+    miss) and written with ``cache[key] = value``.  Pass the same dict
+    to successive calls to reuse rows across studies, or
+    :func:`repro.service.store.persistent_study_cache` to persist them
+    in the artifact store (``hrms-experiments --store DIR``).
     """
     if schedulers is None:
         schedulers = registry.DEFAULT_BATCH_SCHEDULERS
+    schedulers = tuple(schedulers)
     if loops is None:
         loops = perfect_club_suite(
             n_loops=n_loops if n_loops is not None else 1258
         )
     machine = machine or perfect_club_machine()
-    records: list[StudyRecord] = []
-    for loop in loops:
-        analysis = compute_mii(loop.graph, machine)
-        record = StudyRecord(loop=loop, mii=analysis.mii)
-        for name in schedulers:
-            schedule = make_scheduler(name).schedule(
-                loop.graph, machine, analysis
-            )
-            record.rows[name] = _row_of(schedule)
-        records.append(record)
-    return PerfectStudy(records=records, schedulers=tuple(schedulers))
+    cache = cache if cache is not None else {}
+
+    machine_key = _machine_fingerprint(machine)
+    keys = [
+        (graph_fingerprint(loop.graph), schedulers, machine_key)
+        for loop in loops
+    ]
+    outcomes: dict[tuple, tuple[int, dict[str, StudyRow]]] = {}
+    pending: dict[tuple, Loop] = {}
+    for key, loop in zip(keys, loops):
+        if key in outcomes or key in pending:
+            continue
+        hit = cache.get(key)
+        if hit is None:
+            pending[key] = loop
+        else:
+            outcomes[key] = hit
+
+    tasks = [(loop, schedulers, machine) for loop in pending.values()]
+    for key, outcome in zip(pending, _map(_schedule_loop, tasks, jobs)):
+        cache[key] = outcome
+        outcomes[key] = outcome
+
+    records = []
+    for key, loop in zip(keys, loops):
+        mii, rows = outcomes[key]
+        records.append(StudyRecord(loop=loop, mii=mii, rows=dict(rows)))
+    return PerfectStudy(records=records, schedulers=schedulers)
+
+
+def _machine_fingerprint(machine: MachineModel) -> tuple:
+    """Structural identity of a machine (names alone can collide)."""
+    return (
+        machine.name,
+        tuple(
+            (unit.name, unit.count, unit.pipelined)
+            for unit in machine.unit_classes()
+        ),
+    )
+
+
+def _map(fn: Callable[[Any], Any], items: list, jobs: int) -> list:
+    """Order-preserving map, over a warm process pool when ``jobs``
+    allows more than one worker and there is more than one item."""
+    workers = jobs if jobs > 0 else os.cpu_count() or 1
+    if workers <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    # Large enough to amortise pickling, small enough to keep the
+    # workers balanced.
+    chunksize = max(1, len(items) // (workers * 4))
+    with ProcessPoolExecutor(
+        max_workers=min(workers, len(items)), initializer=warm_start
+    ) as pool:
+        return list(pool.map(fn, items, chunksize=chunksize))
+
+
+def _schedule_loop(
+    task: tuple[Loop, tuple[str, ...], MachineModel],
+) -> tuple[int, dict[str, StudyRow]]:
+    """Schedule one loop with every scheduler (runs in a worker)."""
+    loop, schedulers, machine = task
+    analysis = compute_mii(loop.graph, machine)
+    rows = {
+        name: _row_of(
+            make_scheduler(name).schedule(loop.graph, machine, analysis)
+        )
+        for name in schedulers
+    }
+    return analysis.mii, rows
 
 
 def _row_of(schedule: Schedule) -> StudyRow:

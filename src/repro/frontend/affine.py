@@ -33,11 +33,6 @@ class AffineForm:
     const: Fraction
     sym_coefs: tuple[tuple[str, Fraction], ...] = ()
 
-    @property
-    def symbolic_part(self) -> tuple[tuple[str, Fraction], ...]:
-        """The invariant-symbol terms, canonically sorted."""
-        return self.sym_coefs
-
     def minus_const(self, other: "AffineForm") -> Fraction | None:
         """``self.const - other.const`` when the two forms differ only in
         their constant; ``None`` otherwise."""

@@ -178,10 +178,6 @@ class TraceCollector:
             bucket = self._traces.pop(trace_id, None)
         return [span.to_dict() for span in bucket] if bucket else []
 
-    def trace_ids(self) -> list[str]:
-        with self._lock:
-            return list(self._traces)
-
     def __len__(self) -> int:
         with self._lock:
             return sum(len(bucket) for bucket in self._traces.values())

@@ -36,6 +36,7 @@ from pathlib import Path
 from repro.errors import ReproError
 from repro.frontend.kernels import KERNEL_SOURCES, kernel_source
 from repro.machine.configs import canonical_machines
+from repro.qa.campaign import _machine_supports
 from repro.schedulers import registry
 
 #: Golden file schema version.
@@ -231,13 +232,6 @@ def _compile_kernels(
             )
             compiled[(kernel, profile)] = loop.graph
     return compiled
-
-
-def _machine_supports(machine, graph) -> bool:
-    if machine.is_generic:
-        return True
-    classes = {unit.name for unit in machine.unit_classes()}
-    return all(op.opclass in classes for op in graph.operations())
 
 
 def run_conformance(

@@ -1,14 +1,15 @@
 """Scheduling-as-a-service: store, jobs, HTTP API, client.
 
 PR 1 gave the library a shared engine layer (fingerprints, cached
-MinDist, a parallel runner); this package turns that substrate into a
+MinDist, a study runner); this package turns that substrate into a
 long-running **service** so schedules are computed once and served many
 times:
 
 * :mod:`~repro.service.store` — a content-addressed, on-disk artifact
   store (schedules, study rows) with schema-versioned JSON envelopes.
-  It survives restarts and also backs the experiment runner's per-loop
-  cache (``hrms-experiments --store DIR``).
+  It survives restarts and also backs the study runner's per-loop
+  cache (:func:`repro.experiments.stats.run_study`,
+  ``hrms-experiments --store DIR``).
 * :mod:`~repro.service.jobs` — the job model, a priority FIFO queue and
   a thread worker pool with retry + failure capture.
 * :mod:`~repro.service.procpool` — the multi-process execution backend

@@ -12,10 +12,10 @@ Two job kinds exist today:
   are cached under their own individual keys, and the portfolio
   artifact carries the decision record plus the winning schedule.
 * ``"suite"`` — a named workload population scheduled with several
-  methods through :func:`repro.experiments.runner.run_study_parallel`
-  (which fans out via ``parallel_map`` and shares the store through
-  :func:`~repro.service.store.persistent_study_cache`).  The artifact
-  is the study-row table.
+  methods through :func:`repro.experiments.stats.run_study`, serially
+  inside the worker that owns the job, with per-loop rows shared
+  through :func:`~repro.service.store.persistent_study_cache`.  The
+  artifact is the study-row table.
 
 The cache key of an artifact is the canonical request — graph
 fingerprint digest × machine wire dict × scheduler × options — so a
@@ -544,7 +544,7 @@ class SchedulingExecutor:
 
     # ------------------------------------------------------------------
     def _suite(self, request: dict) -> dict:
-        from repro.experiments.runner import run_study_parallel
+        from repro.experiments.stats import run_study
         from repro.workloads.govindarajan import govindarajan_suite
         from repro.workloads.perfectclub import perfect_club_suite
 
@@ -598,11 +598,10 @@ class SchedulingExecutor:
             with trace.span(
                 "suite.run", suite=name, loops=len(loops)
             ):
-                study = run_study_parallel(
+                study = run_study(
                     loops=loops,
                     schedulers=schedulers,
                     machine=machine,
-                    mode="thread",
                     cache=self._study_cache,
                 )
             payload = {

@@ -19,8 +19,9 @@ while internal retry requeues bypass the cap — shedding a retry would
 turn backpressure into a lost job.
 
 Workers are plain threads — scheduling paper-scale loops is
-milliseconds of NumPy-heavy work, and batch jobs fan out internally
-through :func:`repro.experiments.runner.parallel_map`.
+milliseconds of NumPy-heavy work; a ``suite`` job runs its study
+serially inside the worker that owns it.  For CPU-bound cold traffic,
+:mod:`repro.service.procpool` runs the same jobs in worker processes.
 """
 
 from __future__ import annotations

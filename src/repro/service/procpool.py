@@ -18,9 +18,9 @@ module provides the drop-in process equivalent:
   :func:`_init_worker` once: it opens its own
   :class:`~repro.service.store.ArtifactStore` on the shared root,
   builds a :class:`~repro.service.executor.SchedulingExecutor` (whose
-  scheduling-session cache then lives for the worker's lifetime),
-  instantiates the machine-config catalog, and runs
-  :func:`repro.engine.warm_start`.
+  scheduling-session cache then lives for the worker's lifetime), and
+  runs :func:`repro.engine.warm_start` (which also instantiates the
+  machine-config catalog).
 * :class:`ProcessWorkerPool` — same interface, queue discipline, retry
   semantics and ``on_finish`` contract as the thread pool.  Dispatcher
   threads in the parent pop the priority queue and block on the
@@ -151,7 +151,6 @@ def _init_worker(store_root: str, tracing: bool = False) -> None:
     """
     global _WORKER_EXECUTOR, _WORKER_METRICS
     from repro.engine import warm_start
-    from repro.machine.configs import canonical_machines
     from repro.service.executor import SchedulingExecutor
     from repro.service.store import ArtifactStore
 
@@ -163,7 +162,6 @@ def _init_worker(store_root: str, tracing: bool = False) -> None:
         # Worker-side spans collect locally and ride back to the parent
         # in the result envelope (see run_wire_job).
         trace.arm()
-    canonical_machines()
     warm_start()
 
 

@@ -42,7 +42,6 @@ import logging
 import os
 import tempfile
 import threading
-from collections.abc import MutableMapping
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
@@ -284,14 +283,17 @@ class ArtifactStore:
         return f"ArtifactStore({str(self.root)!r})"
 
 
-class _StudyCache(MutableMapping):
-    """Dict façade over the store for the parallel experiment runner.
+class _StudyCache:
+    """The study runner's ``cache=`` mapping, persisted in the store.
 
-    :func:`repro.experiments.runner.run_study_parallel` keys its cache
-    with ``(graph_fingerprint, scheduler_names, machine_fingerprint)``
-    tuples and stores ``(mii, {scheduler: StudyRow})`` values.  This
+    :func:`repro.experiments.stats.run_study` keys its cache with
+    ``(graph_fingerprint, scheduler_names, machine_fingerprint)``
+    tuples, stores ``(mii, {scheduler: StudyRow})`` values, and touches
+    the cache only through :meth:`get` and item assignment.  This
     adapter persists those entries as ``"study-row"`` artifacts, so a
-    warm store turns a whole Perfect-Club study into pure reads.
+    warm store turns a whole Perfect-Club study into pure reads.  A
+    torn or corrupt row is quarantined by the store and reads as a
+    miss, so the runner recomputes it.
     """
 
     KIND = "study-row"
@@ -306,12 +308,13 @@ class _StudyCache(MutableMapping):
     def _request(key: tuple) -> dict:
         return {"kind": _StudyCache.KIND, "study_key": key}
 
-    def __getitem__(self, key: tuple):
+    def get(self, key: tuple):
+        """The cached ``(mii, rows)`` for *key*, or ``None``."""
         if key in self._memo:
             return self._memo[key]
         envelope = self.store.get(request_key(self._request(key)))
         if envelope is None:
-            raise KeyError(key)
+            return None
         from repro.experiments.stats import StudyRow
 
         payload = envelope["payload"]
@@ -332,28 +335,11 @@ class _StudyCache(MutableMapping):
         self.store.put(request_key(request), self.KIND, request, payload)
         self._memo[key] = value
 
-    def __delitem__(self, key: tuple) -> None:
-        self._memo.pop(key, None)
-        if not self.store.delete(request_key(self._request(key))):
-            raise KeyError(key)
 
-    def __contains__(self, key: object) -> bool:
-        return key in self._memo or request_key(self._request(key)) in self.store
-
-    def __iter__(self):
-        raise TypeError("a persistent study cache is not enumerable")
-
-    def __len__(self) -> int:
-        return sum(
-            1
-            for key in self.store.iter_keys()
-            if (env := self.store.get(key)) and env.get("kind") == self.KIND
-        )
-
-
-def persistent_study_cache(store: ArtifactStore | str | Path) -> MutableMapping:
-    """A drop-in ``cache=`` argument for ``run_study_parallel`` backed by
-    the artifact store, so study rows survive across processes."""
+def persistent_study_cache(store: ArtifactStore | str | Path) -> _StudyCache:
+    """A ``cache=`` argument for :func:`repro.experiments.stats.run_study`
+    backed by the artifact store, so study rows survive across
+    processes."""
     if not isinstance(store, ArtifactStore):
         store = ArtifactStore(store)
     return _StudyCache(store)

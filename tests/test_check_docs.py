@@ -109,6 +109,28 @@ class TestGateTrips:
         assert any("README.md" in p and "--no-qa" in p for p in problems)
         assert any("docs/X.md" in p and "'nope'" in p for p in problems)
 
+    def test_dead_experiments_command_reported(self, tmp_path):
+        repo = self._repo(
+            tmp_path,
+            "hrms-serve hrms topdown bottomup slack sms ims frlc spilp "
+            "optreg portfolio. `hrms-experiments` regenerates the paper: "
+            "`hrms-experiments stats --backend thread`.",
+        )
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "X.md").write_text(
+            "```sh\n"
+            "$ hrms-experiments stats --loops 200 --jobs 2\n"
+            "$ python -m repro.experiments.cli fig99\n"
+            "```\n",
+            encoding="utf-8",
+        )
+        problems = check_docs(repo)
+        assert len(problems) == 2
+        assert any(
+            "README.md" in p and "--backend thread" in p for p in problems
+        )
+        assert any("docs/X.md" in p and "'fig99'" in p for p in problems)
+
     def test_substring_does_not_satisfy_scheduler_mention(self, tmp_path):
         # "hrms-serve" must not count as a mention of scheduler "hrms"...
         # it does contain it as a word-boundary token, so use a harder

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.errors import ArtifactError, GraphError
-from repro.experiments.runner import run_study_parallel
 from repro.experiments.stats import run_study
 from repro.graph.serialization import graph_from_dict, graph_to_dict
 from repro.service.store import (
@@ -188,15 +187,25 @@ class TestQuarantine:
         assert store.stats().quarantined == 1
 
 
+def _structure(study):
+    """Every record's loop, MII and per-scheduler (II, MaxLive)."""
+    return [
+        (
+            record.loop.name,
+            record.mii,
+            {name: (row.ii, row.maxlive) for name, row in record.rows.items()},
+        )
+        for record in study.records
+    ]
+
+
 class TestStudyCacheBacking:
-    """The store backs run_study_parallel's per-loop cache."""
+    """The store backs run_study's per-loop cache."""
 
     def test_rows_match_serial_study(self, tmp_path, gov_machine, gov_suite):
         loops = gov_suite[:6]
         cache = persistent_study_cache(tmp_path / "s")
-        study = run_study_parallel(
-            loops=loops, machine=gov_machine, mode="serial", cache=cache
-        )
+        study = run_study(loops=loops, machine=gov_machine, cache=cache)
         direct = run_study(loops=loops, machine=gov_machine)
         for ours, theirs in zip(study.records, direct.records):
             assert ours.mii == theirs.mii
@@ -207,23 +216,42 @@ class TestStudyCacheBacking:
     def test_second_run_is_pure_reads(self, tmp_path, gov_machine):
         loops = govindarajan_suite()[:6]
         root = tmp_path / "s"
-        run_study_parallel(
+        run_study(
             loops=loops,
             machine=gov_machine,
-            mode="serial",
             cache=persistent_study_cache(root),
         )
         store = ArtifactStore(root)
-        study = run_study_parallel(
+        study = run_study(
             loops=loops,
             machine=gov_machine,
-            mode="serial",
             cache=persistent_study_cache(store),
         )
         stats = store.stats()
         assert stats.writes == 0, "warm study must not recompute rows"
         assert stats.hits >= len(loops)
         assert len(study.records) == len(loops)
+
+    def test_torn_row_is_recomputed(self, tmp_path, gov_machine):
+        loops = govindarajan_suite()[:3]
+        root = tmp_path / "s"
+        clean = run_study(
+            loops=loops,
+            machine=gov_machine,
+            cache=persistent_study_cache(root),
+        )
+        victim = sorted((root / "objects").rglob("*.json"))[0]
+        victim.write_bytes(victim.read_bytes()[:40])  # a torn write
+        store = ArtifactStore(root)
+        study = run_study(
+            loops=loops,
+            machine=gov_machine,
+            cache=persistent_study_cache(store),
+        )
+        assert _structure(study) == _structure(clean)
+        stats = store.stats()
+        assert stats.quarantined == 1
+        assert stats.writes == 1, "only the torn row is recomputed"
 
 
 class TestGraphEnvelopeVersioning:
