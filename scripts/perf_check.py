@@ -64,6 +64,9 @@ def _best_of(repeats: int, fn) -> float:
 def measure_size(size: int, machine, repeats: int = 3) -> dict:
     graph = random_ddg(random.Random(size), size, name=f"scale{size}")
     analysis = compute_mii(graph, machine)
+    # The whole MII analysis from scratch: circuits, ResMII, RecMII and
+    # the recurrence subgraphs.
+    mii = _best_of(repeats, lambda: compute_mii(graph, machine))
 
     # Cold: the pure factorise + Floyd–Warshall solve.  Warm: a memo
     # hit of the session's sweep, the path every scheduler queries.
@@ -92,6 +95,8 @@ def measure_size(size: int, machine, repeats: int = 3) -> dict:
     )
 
     return {
+        "mii_s": mii,
+        "circuits": len(analysis.circuits),
         "mindist_cold_s": cold,
         "mindist_warm_s": warm,
         "full_schedule_cold_s": full_cold,
@@ -779,15 +784,18 @@ _SAME = "schedules are no longer identical"
 TIERS: tuple[Tier, ...] = (
     Tier(
         "sizes",
-        "MinDist cold/warm + full HRMS schedule on seeded loops "
-        "(II identity gated)",
+        "cold MII analysis, MinDist cold/warm + full HRMS schedule on "
+        "seeded loops (II and circuit count identity gated)",
         measure_sizes,
+        "mii {mii_s:.2e}s ({circuits} circuits)  "
         "mindist cold {mindist_cold_s:.2e}s warm {mindist_warm_s:.2e}s  "
         "schedule cold {full_schedule_cold_s:.4f}s "
         "warm {full_schedule_warm_s:.4f}s  (II {ii}, {attempts} attempts)",
         (
             Rule("ii", "exact", hint=_SAME),
-            *rules("lower", "mindist_cold_s", "mindist_warm_s",
+            Rule("circuits", "exact",
+                 hint="circuit enumeration no longer finds the same set"),
+            *rules("lower", "mii_s", "mindist_cold_s", "mindist_warm_s",
                    "full_schedule_cold_s", "full_schedule_warm_s"),
         ),
         per_size=True,

@@ -4,7 +4,9 @@ A recurrence circuit from an operation to an instance of itself ``omega``
 iterations later must not be stretched beyond ``omega * II`` cycles
 (Section 3), hence every circuit ``c`` imposes
 ``II >= ceil(latency_sum(c) / distance_sum(c))`` and RecMII is the maximum
-over all elementary circuits.
+over all elementary circuits.  Both sums are cached on each
+:class:`~repro.graph.circuits.Circuit` by the enumeration, so this is O(1)
+per circuit.
 """
 
 from __future__ import annotations
@@ -16,15 +18,13 @@ from repro.graph.circuits import Circuit, elementary_circuits
 from repro.graph.ddg import DependenceGraph
 
 
-def circuit_recmii(graph: DependenceGraph, circuit: Circuit) -> int:
+def circuit_recmii(circuit: Circuit) -> int:
     """The II lower bound a single circuit imposes."""
-    latency_sum = circuit.latency_sum(graph)
-    distance_sum = circuit.total_distance()
-    if distance_sum == 0:
+    if circuit.distance == 0:
         raise ZeroDistanceCycleError(
             f"circuit through {circuit.nodes[0]!r} has zero total distance"
         )
-    return math.ceil(latency_sum / distance_sum)
+    return math.ceil(circuit.latency / circuit.distance)
 
 
 def compute_recmii(
@@ -40,5 +40,5 @@ def compute_recmii(
         circuits = elementary_circuits(graph)
     recmii = 1
     for circuit in circuits:
-        recmii = max(recmii, circuit_recmii(graph, circuit))
+        recmii = max(recmii, circuit_recmii(circuit))
     return recmii

@@ -64,24 +64,23 @@ def find_recurrence_subgraphs(
     position = {name: i for i, name in enumerate(graph.node_names())}
 
     by_backward: dict[frozenset, RecurrenceSubgraph] = {}
+    members: dict[frozenset, set[str]] = {}
     for circuit in circuits:
-        key = circuit.backward_edges()
+        key = circuit.backward_keys
         subgraph = by_backward.get(key)
         if subgraph is None:
-            subgraph = RecurrenceSubgraph(
+            subgraph = by_backward[key] = RecurrenceSubgraph(
                 backward_edge_keys=key, nodes=[], circuits=[]
             )
-            by_backward[key] = subgraph
+            members[key] = set()
         subgraph.circuits.append(circuit)
-        for name in circuit.nodes:
-            if name not in subgraph.nodes:
-                subgraph.nodes.append(name)
+        members[key].update(circuit.nodes)
+        subgraph.recmii = max(subgraph.recmii, circuit_recmii(circuit))
 
     subgraphs = list(by_backward.values())
     for subgraph in subgraphs:
-        subgraph.nodes.sort(key=position.__getitem__)
-        subgraph.recmii = max(
-            circuit_recmii(graph, circuit) for circuit in subgraph.circuits
+        subgraph.nodes = sorted(
+            members[subgraph.backward_edge_keys], key=position.__getitem__
         )
     subgraphs.sort(
         key=lambda s: (-s.recmii, position[s.nodes[0]])

@@ -65,14 +65,24 @@ DEGRADED_SCHEDULER = "hrms"
 
 
 def schedule_payload(
-    schedule: Schedule, maxlive: int | None = None
+    schedule: Schedule,
+    maxlive: int | None = None,
+    digest: str | None = None,
 ) -> dict[str, Any]:
-    """The JSON artifact for a computed schedule."""
+    """The JSON artifact for a computed schedule.
+
+    ``digest`` is the graph's fingerprint when the caller already holds
+    it (the executor's cache keys do); otherwise it is computed here.
+    """
     stats = schedule.stats
     return {
         "graph": {
             "name": schedule.graph.name,
-            "digest": fingerprint_digest(schedule.graph),
+            "digest": (
+                digest
+                if digest is not None
+                else fingerprint_digest(schedule.graph)
+            ),
             "operations": len(schedule.graph),
         },
         "machine": schedule.machine.to_dict(),
@@ -91,16 +101,22 @@ def schedule_payload(
 
 
 def schedule_from_payload(
-    payload: dict, graph: DependenceGraph, machine: MachineModel | None = None
+    payload: dict,
+    graph: DependenceGraph,
+    machine: MachineModel | None = None,
+    digest: str | None = None,
 ) -> Schedule:
     """Rebuild a :class:`Schedule` from a stored artifact payload.
 
-    The caller supplies the graph (artifacts carry only its digest);
-    a digest mismatch is rejected rather than silently producing a
+    The caller supplies the graph (artifacts carry only its digest) and,
+    when it holds it already, the graph's fingerprint as ``digest``; a
+    digest mismatch is rejected rather than silently producing a
     schedule for the wrong loop.
     """
     expected = payload.get("graph", {}).get("digest")
-    if expected is not None and expected != fingerprint_digest(graph):
+    if expected is not None and expected != (
+        digest if digest is not None else fingerprint_digest(graph)
+    ):
         raise JobError(
             f"artifact was computed for graph digest {expected[:12]}…, "
             f"not for {graph.name!r}"
@@ -189,12 +205,13 @@ class SchedulingExecutor:
 
     @staticmethod
     def _schedule_cache_request(
-        graph: DependenceGraph,
+        digest: str,
         machine: MachineModel,
         scheduler: str,
         options: dict,
     ) -> dict:
-        """The canonical identity of one schedule request.
+        """The canonical identity of one schedule request for the graph
+        with fingerprint *digest*.
 
         Portfolio member artifacts are keyed through here too, so a
         member schedule computed during a race is the *same* artifact a
@@ -203,7 +220,7 @@ class SchedulingExecutor:
         return {
             "kind": "schedule",
             "schema": REQUEST_SCHEMA,
-            "graph": fingerprint_digest(graph),
+            "graph": digest,
             "machine": machine.to_dict(),
             "scheduler": scheduler,
             "options": options,
@@ -212,6 +229,7 @@ class SchedulingExecutor:
     def _schedule_one(
         self,
         graph: DependenceGraph,
+        digest: str,
         machine: MachineModel,
         scheduler: str,
         options: dict,
@@ -222,7 +240,7 @@ class SchedulingExecutor:
         direct schedule requests and the degraded-portfolio fallback,
         and the home of the executor's fault-injection hooks."""
         cache_request = self._schedule_cache_request(
-            graph, machine, scheduler, options
+            digest, machine, scheduler, options
         )
         key = self.store.key_for(cache_request)
         envelope = self.store.get(key)
@@ -240,14 +258,15 @@ class SchedulingExecutor:
             # search polls it again per attempt).
             cancel.check()
             with trace.span("schedule.compute", scheduler=scheduler):
-                session = self.sessions.get(
-                    graph, machine, digest=cache_request["graph"]
-                )
+                session = self.sessions.get(graph, machine, digest=digest)
                 schedule = make_scheduler(scheduler, **options).schedule(
                     graph, machine, session.analysis, session=session
                 )
             envelope = self.store.put(
-                key, "schedule", cache_request, schedule_payload(schedule)
+                key,
+                "schedule",
+                cache_request,
+                schedule_payload(schedule, digest=digest),
             )
             self.metrics.inc("schedules_computed")
             self.metrics.observe(
@@ -262,11 +281,14 @@ class SchedulingExecutor:
         machine = machine_from_config(request.get("machine", DEFAULT_MACHINE))
         scheduler = str(request.get("scheduler", DEFAULT_SCHEDULER))
         options = self._options(request)
+        # The one fingerprint of this request: every cache key, session
+        # lookup and payload below reuses it.
+        digest = fingerprint_digest(graph)
         if scheduler in registry.VIRTUAL_SCHEDULERS:
-            return self._portfolio(request, graph, machine, options)
+            return self._portfolio(request, graph, digest, machine, options)
 
         key, payload, cached = self._schedule_one(
-            graph, machine, scheduler, options
+            graph, digest, machine, scheduler, options
         )
         return {
             "kind": "schedule",
@@ -282,6 +304,7 @@ class SchedulingExecutor:
     def _degraded_portfolio(
         self,
         graph: DependenceGraph,
+        digest: str,
         machine: MachineModel,
         options: dict,
         reason: str,
@@ -303,7 +326,7 @@ class SchedulingExecutor:
                 fallback=DEGRADED_SCHEDULER,
             )
         key, payload, cached = self._schedule_one(
-            graph, machine, DEGRADED_SCHEDULER, options
+            graph, digest, machine, DEGRADED_SCHEDULER, options
         )
         return {
             "kind": "schedule",
@@ -332,6 +355,7 @@ class SchedulingExecutor:
         self,
         request: dict,
         graph: DependenceGraph,
+        digest: str,
         machine: MachineModel,
         options: dict,
     ) -> dict:
@@ -380,7 +404,7 @@ class SchedulingExecutor:
         else:
             policy_spec = policy_name
         cache_request = self._schedule_cache_request(
-            graph,
+            digest,
             machine,
             "portfolio",
             {
@@ -408,7 +432,7 @@ class SchedulingExecutor:
                 reason = "overload"
             if reason is not None:
                 return self._degraded_portfolio(
-                    graph, machine, options, reason
+                    graph, digest, machine, options, reason
                 )
             # Exact members race under the member budget as their MILP
             # time limit; that option is part of their request identity,
@@ -416,7 +440,7 @@ class SchedulingExecutor:
             # artifact an unlimited direct request would compute.
             member_requests = {
                 name: self._schedule_cache_request(
-                    graph,
+                    digest,
                     machine,
                     name,
                     {**options, "time_limit": member_budget}
@@ -432,11 +456,9 @@ class SchedulingExecutor:
                 )
                 if member_envelope is not None:
                     precomputed[name] = schedule_from_payload(
-                        member_envelope["payload"], graph, machine
+                        member_envelope["payload"], graph, machine, digest
                     )
-            session = self.sessions.get(
-                graph, machine, digest=cache_request["graph"]
-            )
+            session = self.sessions.get(graph, machine, digest=digest)
             try:
                 with trace.span(
                     "portfolio.race",
@@ -486,7 +508,9 @@ class SchedulingExecutor:
                         "schedule",
                         member_requests[outcome.name],
                         schedule_payload(
-                            outcome.schedule, maxlive=outcome.score.maxlive
+                            outcome.schedule,
+                            maxlive=outcome.score.maxlive,
+                            digest=digest,
                         ),
                     )
                     self.metrics.inc("schedules_computed")
@@ -514,7 +538,9 @@ class SchedulingExecutor:
             payload = {
                 **decision,
                 "schedule": schedule_payload(
-                    result.schedule, maxlive=result.winner_score.maxlive
+                    result.schedule,
+                    maxlive=result.winner_score.maxlive,
+                    digest=digest,
                 ),
             }
             envelope = self.store.put(key, "portfolio", cache_request, payload)

@@ -46,7 +46,7 @@ class TestElementaryCircuits:
         circuits = elementary_circuits(g)
         assert len(circuits) == 1
         assert set(circuits[0].nodes) == {"a", "b"}
-        assert circuits[0].total_distance() == 1
+        assert circuits[0].distance == 1
 
     def test_self_loop(self):
         g = GraphBuilder().op("a", deps=[("a", 1)]).build()
@@ -61,13 +61,13 @@ class TestElementaryCircuits:
         assert frozenset("ABCE") in node_sets
         assert frozenset("ADE") in node_sets
         # Both circuits close through the same backward edge.
-        backs = {c.backward_edges() for c in circuits}
+        backs = {c.backward_keys for c in circuits}
         assert len(backs) == 1
 
     def test_distinct_backward_edges(self):
         circuits = elementary_circuits(figure8c())
         assert len(circuits) == 2
-        backs = {c.backward_edges() for c in circuits}
+        backs = {c.backward_keys for c in circuits}
         assert len(backs) == 2
 
     def test_parallel_edges_pick_min_distance(self):
@@ -80,7 +80,7 @@ class TestElementaryCircuits:
         )
         circuits = elementary_circuits(g)
         assert len(circuits) == 1
-        assert circuits[0].total_distance() == 1
+        assert circuits[0].distance == 1
 
     def test_deterministic(self):
         first = [c.nodes for c in elementary_circuits(figure8c())]

@@ -114,6 +114,16 @@ def test_sizes_rows_compare_per_size_and_skip_unrecorded_sizes():
     assert len(problems) == 1 and problems[0].startswith("size 16: ii ")
 
 
+def test_sizes_rows_gate_mii_analysis():
+    tier = BY_NAME["sizes"]
+    base = BASELINE["sizes"]["160"]
+    drifted = {**base, "circuits": base["circuits"] + 1}
+    slow = {**base, "mii_s": base["mii_s"] * 3}
+    for row, key in ((drifted, "circuits"), (slow, "mii_s")):
+        problems = check_tier(tier, {"160": row}, {"160": base}, 2.0)
+        assert [p.split()[2] for p in problems] == [key]
+
+
 def test_chaos_shape_rules():
     tier = BY_NAME["chaos"]
     base = BASELINE["chaos"]

@@ -189,6 +189,39 @@ class TestExecutorPortfolio:
         )
         assert tuple(result["schedulers"]) == registry.DEFAULT_BATCH_SCHEDULERS
 
+    def test_graph_fingerprinted_once_per_request(
+        self, executor, loop, monkeypatch
+    ):
+        import repro.service.executor as executor_module
+
+        real = executor_module.fingerprint_digest
+        calls = []
+
+        def counting(graph):
+            calls.append(graph.name)
+            return real(graph)
+
+        monkeypatch.setattr(executor_module, "fingerprint_digest", counting)
+        single = {
+            "graph": graph_to_dict(loop.graph),
+            "machine": "govindarajan",
+            "scheduler": "sms",
+        }
+        requests = [
+            single,  # computed
+            single,  # store hit
+            portfolio_request(loop),  # raced, sms precomputed
+            portfolio_request(loop),  # store hit
+        ]
+        for request in requests:
+            executor.execute_request("schedule", request)
+        assert len(calls) == len(requests)
+        digest = real(loop.graph)
+        for key in executor.store.iter_keys():
+            payload = executor.store.get(key)["payload"]
+            graph_part = payload.get("schedule", payload)["graph"]
+            assert graph_part["digest"] == digest
+
 
 def _score(member: dict):
     from repro.portfolio import ScheduleScore
