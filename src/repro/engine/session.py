@@ -69,6 +69,9 @@ class SchedulingSession:
         self._digest: str | None = None
         self._names: list[str] | None = None
         self._op_index: dict[str, int] | None = None
+        self._neighbours: (
+            dict[str, tuple[tuple[str, ...], tuple[str, ...]]] | None
+        ) = None
         self._scratch = threading.local()
 
     # ------------------------------------------------------------------
@@ -104,6 +107,21 @@ class SchedulingSession:
                 name: i for i, name in enumerate(self.names)
             }
         return self._op_index
+
+    @property
+    def neighbours(self) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
+        """Name -> (distinct predecessors, distinct successors), self
+        edges removed, built once per session."""
+        if self._neighbours is None:
+            graph = self.graph
+            self._neighbours = {
+                name: (
+                    tuple(p for p in graph.predecessors(name) if p != name),
+                    tuple(s for s in graph.successors(name) if s != name),
+                )
+                for name in self.names
+            }
+        return self._neighbours
 
     # ------------------------------------------------------------------
     def mindist(self, ii: int):

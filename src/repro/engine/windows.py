@@ -9,8 +9,14 @@ The seed recomputed both with a Python loop over every scheduled
 operation *per placement query* — O(n) dict lookups per query, O(n^2)
 per attempt.  :class:`StartBounds` keeps the running max/min for **all**
 operations as NumPy arrays and folds each new placement in with one
-vectorized row/column update, making every query O(1) and every
+add and one max (min) per side, making every query O(1) and every
 placement O(n).
+
+"No constraint" is encoded in the values themselves rather than in a
+separate reachability mask: an unreachable pair contributes
+``cycle + NO_PATH`` to the max (``cycle - NO_PATH`` to the min), which
+stays on the far side of a fixed threshold from every real bound as
+long as placement cycles stay within :data:`CYCLE_LIMIT`.
 
 Placements are monotone (bounds only tighten), which is exactly how the
 window-scanning schedulers (HRMS, SMS) use them; ejection-based methods
@@ -21,14 +27,30 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.mindist import _NO_PATH_CUTOFF
+from repro.engine.mindist import _NO_PATH_CUTOFF, NO_PATH
+from repro.errors import SchedulingError
 
-_NEG = np.iinfo(np.int64).min
-_POS = np.iinfo(np.int64).max
+#: Placement cycles must satisfy ``|cycle| < CYCLE_LIMIT``: a
+#: real MinDist entry exceeds the cutoff and an unreachable one is
+#: saturated at ``NO_PATH``, so within the limit every real bound lies
+#: above ``_ES_THRESHOLD`` and every unreachable one below it (mirrored
+#: for LateStart).
+CYCLE_LIMIT = (_NO_PATH_CUTOFF - NO_PATH) // 2
+_ES_THRESHOLD = (NO_PATH + _NO_PATH_CUTOFF) // 2
+_LS_THRESHOLD = -_ES_THRESHOLD
+#: Initial values, far beyond any unreachable contribution.
+_ES_UNSET = 4 * NO_PATH
+_LS_UNSET = -4 * NO_PATH
 
 
 class StartBounds:
-    """Running transitive EarlyStart/LateStart over a MinDist matrix."""
+    """Running transitive EarlyStart/LateStart over a MinDist matrix.
+
+    Exact while every placed cycle satisfies ``|cycle| < CYCLE_LIMIT``
+    (about 2.5e8); :meth:`place` raises
+    :class:`~repro.errors.SchedulingError` for a cycle outside that
+    range rather than let the encoding answer wrong.
+    """
 
     def __init__(self, dist: np.ndarray) -> None:
         n = dist.shape[0]
@@ -36,36 +58,32 @@ class StartBounds:
         #: sessions use its identity to decide whether a cached
         #: instance can be reset instead of rebuilt.
         self.dist = dist
-        self._dist = dist
-        self._reach = dist > _NO_PATH_CUTOFF
-        self._es = np.full(n, _NEG, dtype=np.int64)
-        self._has_es = np.zeros(n, dtype=bool)
-        self._ls = np.full(n, _POS, dtype=np.int64)
-        self._has_ls = np.zeros(n, dtype=bool)
+        self._dist_t = np.ascontiguousarray(dist.T)
+        self._es = np.full(n, _ES_UNSET, dtype=np.int64)
+        self._ls = np.full(n, _LS_UNSET, dtype=np.int64)
 
     def reset(self) -> None:
         """Forget every placement; equivalent to a fresh construction
-        over the same matrix (the reachability mask is kept)."""
-        self._es.fill(_NEG)
-        self._has_es.fill(False)
-        self._ls.fill(_POS)
-        self._has_ls.fill(False)
+        over the same matrix (the transpose is kept)."""
+        self._es.fill(_ES_UNSET)
+        self._ls.fill(_LS_UNSET)
 
     def place(self, i: int, cycle: int) -> None:
         """Fold ``operation i scheduled at cycle`` into every bound."""
-        out = self._reach[i, :]
-        np.maximum(self._es, cycle + self._dist[i, :],
-                   where=out, out=self._es)
-        self._has_es |= out
-        into = self._reach[:, i]
-        np.minimum(self._ls, cycle - self._dist[:, i],
-                   where=into, out=self._ls)
-        self._has_ls |= into
+        if abs(cycle) >= CYCLE_LIMIT:
+            raise SchedulingError(
+                f"placement cycle {cycle} is outside the exact range "
+                f"|cycle| < {CYCLE_LIMIT}"
+            )
+        np.maximum(self._es, self.dist[i] + cycle, out=self._es)
+        np.minimum(self._ls, cycle - self._dist_t[i], out=self._ls)
 
     def early_start(self, i: int) -> int | None:
         """EarlyStart of operation *i*, or ``None`` if unconstrained."""
-        return int(self._es[i]) if self._has_es[i] else None
+        bound = self._es.item(i)
+        return bound if bound > _ES_THRESHOLD else None
 
     def late_start(self, i: int) -> int | None:
         """LateStart of operation *i*, or ``None`` if unconstrained."""
-        return int(self._ls[i]) if self._has_ls[i] else None
+        bound = self._ls.item(i)
+        return bound if bound < _LS_THRESHOLD else None

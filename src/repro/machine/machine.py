@@ -47,13 +47,11 @@ class MachineModel:
             if unit.name in self._classes:
                 raise MachineError(f"duplicate unit class {unit.name!r}")
             self._classes[unit.name] = unit
+        #: ``True`` when all operations share one general-purpose class
+        #: (``_classes`` is never mutated after construction).
+        self.is_generic: bool = set(self._classes) == {GENERIC}
 
     # ------------------------------------------------------------------
-    @property
-    def is_generic(self) -> bool:
-        """``True`` when all operations share one general-purpose class."""
-        return set(self._classes) == {GENERIC}
-
     def unit_classes(self) -> list[UnitClass]:
         """All unit classes, declaration order."""
         return list(self._classes.values())

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 import time
-from typing import Any, Iterable
+from typing import Any, Sequence
 
 from repro import cancel
 from repro.engine.session import SchedulingSession
@@ -120,22 +120,19 @@ def neighbor_directed_attempt(
     if bounds is None:
         return None
     index = session.op_index
+    neighbours = session.neighbours
     mrt = session.mrt(ii)
     start: dict[str, int] = {}
     for name in order:
         op = graph.operation(name)
-        es = bounds.early_start(index[name])
-        ls = bounds.late_start(index[name])
+        i = index[name]
+        es = bounds.early_start(i)
+        ls = bounds.late_start(i)
         if es is not None and ls is not None and es > ls:
             return None
-        has_pred = any(
-            edge.src != name and edge.src in start
-            for edge in graph.in_edges(name)
-        )
-        has_succ = any(
-            edge.dst != name and edge.dst in start
-            for edge in graph.out_edges(name)
-        )
+        preds, succs = neighbours[name]
+        has_pred = not start.keys().isdisjoint(preds)
+        has_succ = not start.keys().isdisjoint(succs)
         if has_succ and not has_pred and ls is not None:
             window = downward_window(ls, ii, es)
         elif has_pred and has_succ and closers_down and ls is not None:
@@ -146,17 +143,15 @@ def neighbor_directed_attempt(
             window = downward_window(ls, ii)
         else:
             window = upward_window(0, ii)
-        candidates: Iterable[int] = window
-        if stagger:
-            cycles = list(window)
-            if len(cycles) > 1:
-                shift = stagger % len(cycles)
-                candidates = cycles[shift:] + cycles[:shift]
+        candidates: Sequence[int] = window
+        if stagger and len(window) > 1:
+            shift = stagger % len(window)
+            candidates = [*window[shift:], *window[:shift]]
         cycle = mrt.scan_place(op, candidates)
         if cycle is None:
             return None
         start[name] = cycle
-        bounds.place(index[name], cycle)
+        bounds.place(i, cycle)
     return start
 
 

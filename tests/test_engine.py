@@ -7,6 +7,7 @@ property that the vectorized EarlyStart/LateStart bounds match the
 seed's dict-loop formulation on random DDGs and random placement orders.
 """
 
+import dataclasses
 import random
 
 import numpy as np
@@ -22,8 +23,12 @@ from repro.engine import (
     graph_fingerprint,
 )
 from repro.engine.mindist import factorise, solve
+from repro.engine.windows import CYCLE_LIMIT
+from repro.errors import SchedulingError
 from repro.graph.builder import GraphBuilder
+from repro.graph.ddg import DependenceGraph
 from repro.machine.configs import motivating_machine
+from repro.schedulers.base import default_ii_limit
 from repro.workloads.synthetic import random_ddg
 
 
@@ -202,3 +207,82 @@ def test_start_bounds_match_dict_loops(seed, size):
         cycle = rng.randint(-5, 3 * ii)
         start[name] = cycle
         bounds.place(index[name], cycle)
+
+
+def islands_graph(rng, sizes):
+    """Several random DDGs side by side: no path joins two components."""
+    graph = DependenceGraph("islands")
+    for part_no, size in enumerate(sizes):
+        part = random_ddg(rng, size, name=f"part{part_no}")
+        prefix = f"c{part_no}_"
+        for op in part.operations():
+            graph.add_operation(dataclasses.replace(op, name=prefix + op.name))
+        for edge in part.edges():
+            graph.add_edge(
+                dataclasses.replace(
+                    edge, src=prefix + edge.src, dst=prefix + edge.dst
+                )
+            )
+    return graph
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    sizes=st.lists(
+        st.integers(min_value=2, max_value=10), min_size=2, max_size=4
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_start_bounds_encoding_across_ii_limit_and_components(seed, sizes):
+    """The value-encoded "no constraint" stays exact for placements
+    anywhere in ``±default_ii_limit``, for unreachable pairs, and across
+    ``reset()`` and a second placement order over the same matrix."""
+    rng = random.Random(seed)
+    graph = islands_graph(rng, sizes)
+    ii = rng.randint(1, 40)
+    factors = factorise(graph)
+    solved = solve(factors, ii)
+    if solved is None:
+        ii = ii + 64
+        solved = solve(factors, ii)
+        assert solved is not None
+    dist, names = solved
+    assert (dist <= NO_PATH // 2).any()  # unreachable pairs exist
+    index = {name: i for i, name in enumerate(names)}
+    limit = default_ii_limit(graph, ii)
+
+    bounds = StartBounds(dist)
+    for _ in range(2):
+        start: dict[str, int] = {}
+        order = list(names)
+        rng.shuffle(order)
+        for name in order:
+            assert bounds.early_start(index[name]) == dict_loop_early_start(
+                dist, index, start, name
+            )
+            assert bounds.late_start(index[name]) == dict_loop_late_start(
+                dist, index, start, name
+            )
+            cycle = rng.choice((-limit, limit, rng.randint(-limit, limit)))
+            start[name] = cycle
+            bounds.place(index[name], cycle)
+        bounds.reset()
+
+
+def test_start_bounds_reject_cycles_outside_exact_range():
+    dist, names = solve(factorise(chain_graph()), 1)
+    a, b = names.index("a"), names.index("b")
+    bounds = StartBounds(dist)
+    for cycle in (CYCLE_LIMIT, -CYCLE_LIMIT, 10**12):
+        with pytest.raises(SchedulingError):
+            bounds.place(a, cycle)
+    assert bounds.early_start(b) is None  # rejected placements left no trace
+    for cycle in (CYCLE_LIMIT - 1, -(CYCLE_LIMIT - 1)):
+        bounds.reset()
+        bounds.place(a, cycle)
+        assert bounds.early_start(b) == cycle + int(dist[a, b])
+        assert bounds.late_start(b) is None  # b reaches nothing placed
+        bounds.reset()
+        bounds.place(b, cycle)
+        assert bounds.late_start(a) == cycle - int(dist[a, b])
+        assert bounds.early_start(a) is None

@@ -179,54 +179,148 @@ class _ReferenceMRT:
         ]
 
 
-class TestBitmaskMRTParity:
-    """The NumPy-occupancy MRT behaves exactly like the seed's table."""
+def _reference_conflicts(ref, op, cycle):
+    """Occupants of the rows *op* needs at *cycle*, read off the oracle."""
+    unit_class = ref.machine.class_for(op)
+    span = ref.machine.reservation_cycles(op)
+    row = cycle % ref.ii
+    return {
+        unit_rows[(row + offset) % ref.ii]
+        for unit_rows in ref._table[unit_class.name]
+        for offset in range(span)
+    } - {None}
 
-    def _random_op(self, rng, name):
+
+def _reference_utilisation(ref):
+    slots = [
+        slot
+        for units in ref._table.values()
+        for unit_rows in units
+        for slot in unit_rows
+    ]
+    return sum(slot is not None for slot in slots) / len(slots)
+
+
+class TestBitmaskMRTParity:
+    """The int-bitset MRT behaves exactly like the seed's table."""
+
+    def _random_op(self, rng, name, kinds=None):
         opclass, latency = rng.choice(
-            [(FADD, 4), (FMUL, 4), (FDIV, 17), (MEM, 2), (FADD, 1)]
+            kinds or [(FADD, 4), (FMUL, 4), (FDIV, 17), (MEM, 2), (FADD, 1)]
         )
         return Operation(name, latency=latency, opclass=opclass)
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_randomized_place_unplace_parity(self, seed, pc_machine):
-        rng = random.Random(seed)
-        ii = rng.randint(1, 20)
-        new = ModuloReservationTable(pc_machine, ii)
-        ref = _ReferenceMRT(pc_machine, ii)
+    def _random_window(self, rng, ii):
+        """A scan window: upward or downward range, or (like the ladder's
+        ``stagger`` pass) a rotated, non-contiguous list of cycles."""
+        base = rng.randint(-5, 3 * ii)
+        window = range(base, base + rng.randint(0, 2 * ii))
+        shape = rng.random()
+        if shape < 0.35:
+            window = range(window.stop - 1, window.start - 1, -1)
+        elif shape < 0.7 and len(window) > 1:
+            shift = rng.randint(1, len(window) - 1)
+            window = [*window[shift:], *window[:shift]]
+        return window
+
+    def _assert_same_state(self, new, ref, machine, probe):
+        """Occupants, fits, conflicts and utilisation all agree."""
+        for unit in machine.unit_classes():
+            for row in range(ref.ii):
+                assert new.occupants(unit.name, row) == ref.occupants(
+                    unit.name, row
+                )
+        for cycle in range(-1, ref.ii + 1):
+            assert new.fits(probe, cycle) == (
+                ref._find_unit(probe, cycle) is not None
+            )
+            assert new.conflicting_ops(probe, cycle) == _reference_conflicts(
+                ref, probe, cycle
+            )
+        assert new.utilisation() == pytest.approx(_reference_utilisation(ref))
+
+    def _run_parity(self, rng, machine, ii, tag, kinds=None, steps=300):
+        new = ModuloReservationTable(machine, ii)
+        ref = _ReferenceMRT(machine, ii)
         live: list[Operation] = []
-        for step in range(300):
+        for step in range(steps):
             action = rng.random()
             if action < 0.55 or not live:
-                op = self._random_op(rng, f"op{seed}_{step}")
+                op = self._random_op(rng, f"op{tag}_{step}", kinds)
                 cycle = rng.randint(-10, 4 * ii)
                 got, want = new.place(op, cycle), ref.place(op, cycle)
-                assert got == want, (seed, step, op, cycle)
+                assert got == want, (tag, step, op, cycle)
                 if got:
                     live.append(op)
             elif action < 0.8:
-                op = self._random_op(rng, f"scan{seed}_{step}")
-                base = rng.randint(-5, 3 * ii)
-                window = range(base, base + rng.randint(0, 2 * ii))
-                if rng.random() < 0.5:
-                    window = range(
-                        window.stop - 1, window.start - 1, -1
-                    )
+                op = self._random_op(rng, f"scan{tag}_{step}", kinds)
+                window = self._random_window(rng, ii)
                 got, want = (
                     new.scan_place(op, window),
                     ref.scan_place(op, window),
                 )
-                assert got == want, (seed, step, op, window)
+                assert got == want, (tag, step, op, window)
                 if got is not None:
                     live.append(op)
             else:
                 victim = live.pop(rng.randrange(len(live)))
                 new.unplace(victim)
                 ref.unplace(victim)
-            # Occupant tables stay identical row by row.
-            unit = rng.choice(pc_machine.unit_classes()).name
-            row = rng.randint(0, ii - 1)
-            assert new.occupants(unit, row) == ref.occupants(unit, row)
+            probe = self._random_op(rng, f"probe{tag}_{step}", kinds)
+            self._assert_same_state(new, ref, machine, probe)
+        return new, live
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_randomized_place_unplace_parity(self, seed, pc_machine):
+        rng = random.Random(seed)
+        self._run_parity(rng, pc_machine, rng.randint(1, 20), seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reset_then_reuse_at_same_ii(self, seed, pc_machine):
+        rng = random.Random(100 + seed)
+        ii = rng.randint(1, 20)
+        table, live = self._run_parity(rng, pc_machine, ii, seed, steps=120)
+        table.reset()
+        assert table.utilisation() == 0.0
+        assert not any(table.is_placed(op) for op in live)
+        # The reset table replays a second run exactly like a fresh one.
+        ref = _ReferenceMRT(pc_machine, ii)
+        for step, op in enumerate(live):
+            window = self._random_window(rng, ii)
+            assert table.scan_place(op, window) == ref.scan_place(
+                op, window
+            ), (seed, step, window)
+            probe = self._random_op(rng, f"again{seed}_{step}")
+            self._assert_same_state(table, ref, pc_machine, probe)
+
+    @pytest.mark.parametrize(
+        "machine",
+        [
+            perfect_club_machine(),
+            MachineModel("generic3u", [UnitClass(GENERIC, 3, pipelined=False)]),
+        ],
+        ids=["perfect-club", "generic-unpipelined"],
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unpipelined_spans_wrap_last_row(self, machine, seed):
+        rng = random.Random(200 + seed)
+        ii = rng.randint(6, 12)
+        kinds = [(FDIV, ii - 1), (FDIV, ii), (FDIV, 3), (FDIV, 2)]
+        new = ModuloReservationTable(machine, ii)
+        ref = _ReferenceMRT(machine, ii)
+        for step in range(3 * ii):
+            op = self._random_op(rng, f"w{seed}_{step}", kinds)
+            # Start within the span of row II-1 so the reservation
+            # crosses the row II-1 -> row 0 boundary.
+            cycle = ii * rng.randint(-2, 2) + ii - rng.randint(1, op.latency)
+            if rng.random() < 0.5:
+                got, want = new.place(op, cycle), ref.place(op, cycle)
+            else:
+                window = range(cycle, cycle - ii, -1)
+                got = new.scan_place(op, window)
+                want = ref.scan_place(op, window)
+            assert got == want, (seed, step, op, cycle)
+            self._assert_same_state(new, ref, machine, op)
 
     def test_ii_zero_and_negative_rejected(self, generic4):
         for ii in (0, -3):

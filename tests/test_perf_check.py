@@ -124,6 +124,18 @@ def test_sizes_rows_gate_mii_analysis():
         assert [p.split()[2] for p in problems] == [key]
 
 
+def test_sizes_rows_gate_deep_hrms_search():
+    tier = BY_NAME["sizes"]
+    base = BASELINE["sizes"]["160"]
+    assert base["deep_hrms_s"] > 0
+    bound = base["deep_hrms_s"] * 2.0
+    within = {**base, "deep_hrms_s": bound * 0.99}
+    past = {**base, "deep_hrms_s": bound * 1.01}
+    assert check_tier(tier, {"160": within}, {"160": base}, 2.0) == []
+    problems = check_tier(tier, {"160": past}, {"160": base}, 2.0)
+    assert [p.split()[2] for p in problems] == ["deep_hrms_s"]
+
+
 def test_chaos_shape_rules():
     tier = BY_NAME["chaos"]
     base = BASELINE["chaos"]
