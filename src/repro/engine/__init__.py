@@ -7,16 +7,19 @@ partial schedule.  The seed implementation recomputed both from scratch
 inside every II attempt; this package factors the II-independent
 structure out once per graph and keeps the per-II work vectorized:
 
-* :func:`~repro.engine.mindist.solve` — the pure MinDist solve: a
+* :func:`~repro.engine.mindist.closure` — the pure MinDist solve: a
   graph is factored once (:func:`~repro.engine.mindist.factorise`) into
-  per-edge index/latency/distance arrays, ``W(II) = L - II*Δ`` is
-  assembled vectorized, and one Floyd–Warshall sweep runs with NO_PATH
-  saturation.  It keeps no state and is the reference every faster path
-  is checked against.
+  per-edge index/latency/distance arrays and its SCC condensation,
+  ``W(II) = L - II*Δ`` is assembled vectorized, and the rows are filled
+  successors first, with Floyd–Warshall only inside non-trivial SCCs —
+  about O(n·|E|) on nearly acyclic loops.  It keeps no state.
+  :func:`~repro.engine.mindist.solve`, one whole-graph O(n³)
+  Floyd–Warshall, is the reference every faster path is checked
+  against.
 * :class:`~repro.engine.sweep.MinDistSweep` — the II-sweep solver: it
   materialises MinDist once at the search's base II and advances to each
   successive II with an O(n²) shift of the (value, slope) closure plus an
-  O(n·|E|) exactness verification, falling back to a fresh Floyd–Warshall
+  O(n·|E|) exactness verification, falling back to a fresh condensation
   solve whenever the shifted matrix cannot be proven exact.  Results are
   bit-identical to fresh solves by construction.
 * :class:`~repro.engine.session.SchedulingSession` — one object per
@@ -29,7 +32,7 @@ structure out once per graph and keeps the per-II work vectorized:
   vectorized transitive EarlyStart/LateStart bounds: one O(n) NumPy
   update per placement instead of an O(n) Python loop per *query*.
 
-There is one MinDist path: scheduler → session → sweep → ``solve``.
+There is one MinDist path: scheduler → session → sweep → ``closure``.
 The matrices it returns are read-only and shared between callers;
 treat them as immutable.
 """

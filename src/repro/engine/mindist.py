@@ -4,19 +4,28 @@
 ``v``, of ``sum(latency(x) for x on the path except v) - II * sum(delta)``
 — the minimum number of cycles ``v`` must issue after ``u``.  At a
 feasible II (``II >= RecMII``) every dependence cycle has non-positive
-weight, so Floyd–Warshall converges; a positive diagonal entry flags an
-infeasible II.
+weight, so the longest paths are well defined; a positive diagonal
+entry flags an infeasible II.
 
 The edge weights are an affine function of the II: ``W(II) = L - II*Δ``
 per edge.  :func:`factorise` therefore splits a graph **once** into
-per-edge index/latency/distance arrays, and :func:`solve` assembles
-``W(II)`` vectorized and runs one Floyd–Warshall sweep with NO_PATH
-saturation.  ``solve`` keeps no state: memoization and the incremental
-II+1 advance live in :class:`repro.engine.sweep.MinDistSweep`, which
-every scheduler reaches through its
-:class:`~repro.engine.session.SchedulingSession`.  The pure solve is
-also the reference the sweep's cross-check and the tests compare
-against.
+per-edge index/latency/distance arrays plus its strongly-connected-
+component condensation, and two stateless solvers assemble ``W(II)``
+vectorized:
+
+* :func:`closure` is the production solve.  It walks the condensation
+  successors first: a node on no cycle takes the best of its out-edges
+  plus its successors' finished rows, and only a non-trivial SCC runs
+  Floyd–Warshall, on its own block.  Dependence graphs are nearly
+  acyclic, so this costs about O(n·|E|) instead of O(n³).  It also
+  produces the ``(value, slope)`` matrices the sweep's rebase needs.
+* :func:`solve` is one whole-graph Floyd–Warshall sweep with NO_PATH
+  saturation, kept as the O(n³) reference: the sweep's cross-check,
+  the tests and the ``incremental=False`` perf baseline use it.
+
+Memoization and the incremental II+1 advance live in
+:class:`repro.engine.sweep.MinDistSweep`, which every scheduler reaches
+through its :class:`~repro.engine.session.SchedulingSession`.
 """
 
 from __future__ import annotations
@@ -28,12 +37,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.ddg import DependenceGraph
+from repro.graph.traversal import strongly_connected
 
 #: Sentinel for "no path" — avoids -inf arithmetic warnings.
 NO_PATH = -(10**9)
 
 #: Entries at or below this threshold mean "no constraint".
 _NO_PATH_CUTOFF = NO_PATH // 2
+
+#: Slope placeholder that loses every min (never stored).
+_BIG = np.iinfo(np.int64).max
 
 
 def graph_fingerprint(graph: DependenceGraph) -> tuple:
@@ -42,9 +55,8 @@ def graph_fingerprint(graph: DependenceGraph) -> tuple:
     Covers every operation field that influences scheduling or the
     derived metrics (latency for MinDist, opclass for resource binding,
     ``produces_value`` for lifetimes/MaxLive), so two graphs with equal
-    fingerprints schedule identically on the same machine.  The sweep
-    uses it to notice a mutated graph and the parallel experiment runner
-    for per-loop result caching.
+    fingerprints schedule identically on the same machine.  The
+    parallel experiment runner uses it for per-loop result caching.
     """
     return (
         tuple(
@@ -72,12 +84,56 @@ def fingerprint_digest(graph: DependenceGraph) -> str:
 
 
 @dataclass
+class _Exits:
+    """Edges leaving a set of finished rows, grouped by source.
+
+    ``sources[k]`` owns ``edges[starts[k] : starts[k] + counts[k]]``
+    (global edge indices), so one ``reduceat`` folds every group.
+    """
+
+    sources: np.ndarray
+    edges: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+
+
+@dataclass
+class _Component:
+    """One non-trivial SCC of the condensation.
+
+    ``members`` are global node indices.  The intra-component edges are
+    in local (member-position) indices, so the block closure runs on a
+    ``|C| x |C|`` matrix, and so are the sources of ``exits``.
+    """
+
+    members: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    lat: np.ndarray
+    delta: np.ndarray
+    exits: _Exits
+
+
+@dataclass
+class _Level:
+    """Components whose successor components all sit in earlier levels.
+
+    ``trivial`` holds the single-node components that have an out-edge
+    (sources are global node indices); they are solved together.
+    """
+
+    trivial: _Exits
+    components: list[_Component]
+
+
+@dataclass
 class _GraphFactors:
     """II-independent factorisation of one graph.
 
     ``W(II)`` for every edge is ``lat - II * delta``; self-dependences
     are kept apart because they only feed the feasibility check, never
-    the matrix.
+    the matrix.  ``component`` and ``levels`` are the SCC condensation
+    :func:`closure` walks, built once per graph.
     """
 
     names: list[str]
@@ -87,10 +143,13 @@ class _GraphFactors:
     delta: np.ndarray
     self_lat: np.ndarray
     self_delta: np.ndarray
+    component: np.ndarray
+    levels: list[_Level]
 
 
 def factorise(graph: DependenceGraph) -> _GraphFactors:
-    """Split *graph* into the per-edge arrays :func:`solve` consumes."""
+    """Split *graph* into the per-edge arrays :func:`solve` consumes,
+    plus the condensation :func:`closure` walks."""
     names = graph.node_names()
     index = {name: i for i, name in enumerate(names)}
     src: list[int] = []
@@ -110,47 +169,331 @@ def factorise(graph: DependenceGraph) -> _GraphFactors:
             dst.append(j)
             lat.append(latency)
             delta.append(edge.distance)
+    src, dst, lat, delta = (
+        np.asarray(a, dtype=np.int64) for a in (src, dst, lat, delta)
+    )
+    component, levels = _condense(len(names), src, dst, lat, delta)
     return _GraphFactors(
         names=names,
-        src=np.asarray(src, dtype=np.int64),
-        dst=np.asarray(dst, dtype=np.int64),
-        lat=np.asarray(lat, dtype=np.int64),
-        delta=np.asarray(delta, dtype=np.int64),
+        src=src,
+        dst=dst,
+        lat=lat,
+        delta=delta,
         self_lat=np.asarray(self_lat, dtype=np.int64),
         self_delta=np.asarray(self_delta, dtype=np.int64),
+        component=component,
+        levels=levels,
     )
+
+
+def _condense(
+    n: int,
+    src: np.ndarray,
+    dst: np.ndarray,
+    lat: np.ndarray,
+    delta: np.ndarray,
+) -> tuple[np.ndarray, list[_Level]]:
+    """Tarjan component ids and the level schedule :func:`closure` runs.
+
+    A component's level is ``1 + max(successor levels)``, 0 for sinks.
+    Ids are reverse topological, so one pass over the cross edges in
+    source-id order sees every successor's level final.  *src* is
+    non-decreasing (edges come grouped by source in program order), so
+    every edge group below stays grouped by source.
+    """
+    successors: list[list[int]] = [[] for _ in range(n)]
+    for i, j in zip(src.tolist(), dst.tolist()):
+        successors[i].append(j)
+    component = np.asarray(strongly_connected(successors), dtype=np.int64)
+    count = int(component.max()) + 1 if n else 0
+    csrc, cdst = component[src], component[dst]
+    cross = csrc != cdst
+    level_of = [0] * count
+    order = np.argsort(csrc[cross], kind="stable")
+    for c, d in zip(csrc[cross][order].tolist(), cdst[cross][order].tolist()):
+        if level_of[d] >= level_of[c]:
+            level_of[c] = level_of[d] + 1
+    level = np.asarray(level_of, dtype=np.int64)
+    size = np.bincount(component, minlength=count)
+
+    # Trivial components: every out-edge is an exit.  Order their edges
+    # by level, then cut out the groups of each level.
+    edges = np.flatnonzero(size[csrc] == 1)
+    edges = edges[np.argsort(level[csrc[edges]], kind="stable")]
+    heads = src[edges]
+    starts = _group_starts(heads)
+    counts = np.diff(np.append(starts, edges.size))
+    depth = int(level.max()) + 1 if count else 0
+    bounds = np.searchsorted(
+        level[component[heads[starts]]], np.arange(depth + 1)
+    )
+    firsts = np.append(starts, edges.size)[bounds]
+    levels = [
+        _Level(
+            trivial=_Exits(
+                sources=heads[starts[g0:g1]],
+                edges=edges[e0:e1],
+                starts=starts[g0:g1] - e0,
+                counts=counts[g0:g1],
+            ),
+            components=[],
+        )
+        for g0, g1, e0, e1 in zip(bounds, bounds[1:], firsts, firsts[1:])
+    ]
+
+    local = np.zeros(n, dtype=np.int64)
+    for comp in np.flatnonzero(size > 1).tolist():
+        members = np.flatnonzero(component == comp)
+        local[members] = np.arange(members.size)
+        outgoing = csrc == comp
+        inner = np.flatnonzero(outgoing & ~cross)
+        exits = np.flatnonzero(outgoing & cross)
+        exit_src = local[src[exits]]
+        exit_starts = _group_starts(exit_src)
+        levels[level[comp]].components.append(_Component(
+            members=members,
+            src=local[src[inner]],
+            dst=local[dst[inner]],
+            lat=lat[inner],
+            delta=delta[inner],
+            exits=_Exits(
+                sources=exit_src[exit_starts],
+                edges=exits,
+                starts=exit_starts,
+                counts=np.diff(np.append(exit_starts, exits.size)),
+            ),
+        ))
+    return component, levels
+
+
+def _group_starts(keys: np.ndarray) -> np.ndarray:
+    """Start index of every run of equal *keys*."""
+    if not keys.size:
+        return np.zeros(0, dtype=np.int64)
+    return np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+
+
+def _self_edges_infeasible(factors: _GraphFactors, ii: int) -> bool:
+    return bool(factors.self_lat.size) and bool(np.any(
+        factors.self_lat - factors.self_delta * ii > 0
+    ))
+
+
+def _floyd_warshall(
+    n: int,
+    src: np.ndarray,
+    dst: np.ndarray,
+    weights: np.ndarray,
+    delta: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Longest-path closure of the *n*-node edge list, NO_PATH-saturated.
+
+    With *delta*, the sweep runs over the lexicographic ``(max value,
+    min slope)`` semiring: the slope of a path is its distance sum —
+    exactly how much the path's value drops per unit of II — and among
+    value-maximising paths the one that decays slowest wins.
+    """
+    dist = np.full((n, n), NO_PATH, dtype=np.int64)
+    if src.size:
+        np.maximum.at(dist, (src, dst), weights)
+    if delta is None:
+        for k in range(n):
+            via = dist[:, k, None] + dist[None, k, :]
+            np.maximum(dist, via, out=dist)
+            # Keep "no path" saturated so chained NO_PATH values cannot
+            # creep upward into the feasible range.
+            dist[dist < _NO_PATH_CUTOFF] = NO_PATH
+        return dist, None
+
+    slope = np.zeros((n, n), dtype=np.int64)
+    if src.size:
+        # Min distance among the value-maximising parallel edges.
+        seed = np.full((n, n), _BIG, dtype=np.int64)
+        best = weights == dist[src, dst]
+        np.minimum.at(seed, (src[best], dst[best]), delta[best])
+        slope = np.where(seed == _BIG, np.int64(0), seed)
+    for k in range(n):
+        via = dist[:, k, None] + dist[None, k, :]
+        via_s = slope[:, k, None] + slope[None, k, :]
+        better = via > dist
+        np.copyto(dist, via, where=better)
+        np.copyto(slope, via_s, where=better)
+        # Equal-value paths through k with a smaller slope win the tie
+        # (genuine paths only — saturated sums are below the cutoff and
+        # never tie a real value).
+        tie = (via == dist) & (via_s < slope) & (via > _NO_PATH_CUTOFF)
+        np.copyto(slope, via_s, where=tie)
+        bad = dist < _NO_PATH_CUTOFF
+        if bad.any():
+            dist[bad] = NO_PATH
+            slope[bad] = 0
+    return dist, slope
 
 
 def solve(
     factors: _GraphFactors, ii: int
 ) -> tuple[np.ndarray, list[str]] | None:
-    """The MinDist matrix at *ii*, or ``None`` if *ii* is infeasible.
+    """The MinDist matrix at *ii* by one whole-graph Floyd–Warshall, or
+    ``None`` if *ii* is infeasible.
 
     Returns ``(matrix, names)`` with rows/columns indexed by *names*
     (program order).  The matrix is read-only; ``matrix[i, j] <=
-    NO_PATH / 2`` means "no constraint".
+    NO_PATH / 2`` means "no constraint".  This O(n³) solve is the
+    reference :func:`closure` and the sweep are checked against.
     """
-    if factors.self_lat.size and np.any(
-        factors.self_lat - factors.self_delta * ii > 0
-    ):
+    if _self_edges_infeasible(factors, ii):
         return None  # self-dependence violated at this II
-    n = len(factors.names)
-    dist = np.full((n, n), NO_PATH, dtype=np.int64)
-    if factors.src.size:
-        weights = factors.lat - factors.delta * ii
-        np.maximum.at(dist, (factors.src, factors.dst), weights)
-
-    for k in range(n):
-        via = dist[:, k, None] + dist[None, k, :]
-        np.maximum(dist, via, out=dist)
-        # Keep "no path" saturated so chained NO_PATH values cannot
-        # creep upward into the feasible range.
-        dist[dist < _NO_PATH_CUTOFF] = NO_PATH
-
+    weights = factors.lat - factors.delta * ii
+    dist, _ = _floyd_warshall(
+        len(factors.names), factors.src, factors.dst, weights
+    )
     if np.any(np.diag(dist) > 0):
         return None
     dist.setflags(write=False)
     return dist, factors.names
+
+
+def closure(
+    factors: _GraphFactors, ii: int, *, slopes: bool = False
+) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """The MinDist matrix at *ii* over the SCC condensation, or ``None``
+    if *ii* is infeasible.
+
+    Returns ``(dist, slope)``: ``dist`` equals :func:`solve`'s matrix
+    element for element and is read-only; ``slope`` is ``None`` unless
+    *slopes*, when it holds the distance sum of the minimum-slope
+    value-maximising path of every pair (the ``(value, slope)``
+    semiring of the sweep's rebase).
+
+    Components are solved successors first, so every row a component
+    reads is final.  Let ``R[w]`` be row ``w`` with the empty path on
+    its diagonal.  A trivial component ``{v}`` takes ``dist[v] = max
+    over edges (v, w) of W(v, w) + R[w]``, vectorized over all trivial
+    components of one level.  A non-trivial component ``C`` runs
+    Floyd–Warshall on its own block (a positive diagonal means
+    infeasible), then reaches the rest of the graph through the exit
+    row ``X[u]`` of each member: ``dist[v] = max over u in C of
+    Cl*[v, u] + X[u]``, with ``Cl*`` the block with a zero diagonal.
+    On loops whose SCCs are small this costs about O(n·|E|) instead of
+    O(n³).  Nodes on no cycle keep a ``NO_PATH`` diagonal.
+    """
+    if _self_edges_infeasible(factors, ii):
+        return None  # self-dependence violated at this II
+    n = len(factors.names)
+    weights = factors.lat - factors.delta * ii
+    # Every row starts as R: the empty path on the diagonal.  The real
+    # diagonal (the best cycle, or NO_PATH) is put back at the end.
+    dist = np.full((n, n), NO_PATH, dtype=np.int64)
+    np.fill_diagonal(dist, 0)
+    slope = np.zeros((n, n), dtype=np.int64) if slopes else None
+    diag = np.full(n, NO_PATH, dtype=np.int64)
+    diag_slope = np.zeros(n, dtype=np.int64)
+    for level in factors.levels:
+        rows = level.trivial.sources
+        if rows.size:
+            best, best_slope = _exit_rows(
+                factors, level.trivial, weights, dist, slope
+            )
+            dist[rows] = best
+            dist[rows, rows] = 0
+            if slope is not None:
+                slope[rows] = best_slope
+                slope[rows, rows] = 0
+        for comp in level.components:
+            if not _close_component(
+                factors, comp, ii, weights, dist, slope, diag, diag_slope
+            ):
+                return None
+    np.fill_diagonal(dist, diag)
+    dist.setflags(write=False)
+    if slope is not None:
+        np.fill_diagonal(slope, diag_slope)
+    return dist, slope
+
+
+def _exit_rows(
+    factors: _GraphFactors,
+    exits: _Exits,
+    weights: np.ndarray,
+    dist: np.ndarray,
+    slope: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``max over e = (u, w) of W(e) + R[w]`` for every source ``u`` of
+    *exits* (lexicographic with *slope*), NO_PATH-saturated."""
+    edges = exits.edges
+    heads = factors.dst[edges]
+    rows = dist[heads] + weights[edges, None]
+    best = np.maximum.reduceat(rows, exits.starts, axis=0)
+    bad = best < _NO_PATH_CUTOFF
+    best[bad] = NO_PATH
+    if slope is None:
+        return best, None
+    ties = rows == np.repeat(best, exits.counts, axis=0)
+    best_slope = np.minimum.reduceat(
+        np.where(ties, slope[heads] + factors.delta[edges, None], _BIG),
+        exits.starts,
+        axis=0,
+    )
+    best_slope[bad] = 0
+    return best, best_slope
+
+
+def _close_component(
+    factors: _GraphFactors,
+    comp: _Component,
+    ii: int,
+    weights: np.ndarray,
+    dist: np.ndarray,
+    slope: np.ndarray | None,
+    diag: np.ndarray,
+    diag_slope: np.ndarray,
+) -> bool:
+    """Fill the rows of one non-trivial SCC; ``False`` if it holds a
+    positive cycle."""
+    members = comp.members
+    block, block_slope = _floyd_warshall(
+        len(members),
+        comp.src,
+        comp.dst,
+        comp.lat - comp.delta * ii,
+        None if slope is None else comp.delta,
+    )
+    cycles = np.diag(block)
+    if np.any(cycles > 0):
+        return False
+    diag[members] = cycles
+    np.fill_diagonal(block, 0)
+    best = np.full((len(members), dist.shape[1]), NO_PATH, dtype=np.int64)
+    best_slope = None
+    if slope is not None:
+        diag_slope[members] = np.diag(block_slope)
+        np.fill_diagonal(block_slope, 0)
+        best_slope = np.zeros_like(best)
+    if comp.exits.sources.size:
+        exit_rows, exit_slopes = _exit_rows(
+            factors, comp.exits, weights, dist, slope
+        )
+        for k, u in enumerate(comp.exits.sources):
+            cand = block[:, u, None] + exit_rows[k]
+            if slope is None:
+                np.maximum(best, cand, out=best)
+                continue
+            cand_slope = block_slope[:, u, None] + exit_slopes[k]
+            better = cand > best
+            better |= (cand == best) & (cand_slope < best_slope)
+            np.copyto(best, cand, where=better)
+            np.copyto(best_slope, cand_slope, where=better)
+        bad = best < _NO_PATH_CUTOFF
+        best[bad] = NO_PATH
+        if best_slope is not None:
+            best_slope[bad] = 0
+    # Inside C the block is the answer (exits never lead back into C).
+    best[:, members] = block
+    dist[members] = best
+    if slope is not None:
+        best_slope[:, members] = block_slope
+        slope[members] = best_slope
+    return True
 
 
 def warm_start() -> None:
@@ -161,8 +504,9 @@ def warm_start() -> None:
     use this as their worker initializer, so the first *real* request
     does not pay the one-time costs: importing the scheduler stack,
     materialising the lazy registry and the machine-config catalog, and
-    the first NumPy ufunc dispatch of the plain and slope-augmented
-    Floyd–Warshall sweeps.  The probe runs in one throwaway
+    the first NumPy ufunc dispatch of the condensation solve, plain and
+    with slopes (:func:`closure`: the probe loop has one recurrence and
+    a node on no cycle).  The probe runs in one throwaway
     :class:`~repro.engine.session.SchedulingSession`, so no state
     outlives the call.
     """
@@ -178,8 +522,11 @@ def warm_start() -> None:
         .op("a")
         .op("b", deps=("a",))
         .edge("b", "a", distance=1)
+        .op("c", deps=("b",))
+        .op("d", deps=("c",))
         .build()
     )
     session = SchedulingSession(graph, motivating_machine(1))
     session.mindist(1)
     session.cyclic_asap(2)
+    session.mindist(3)

@@ -1,20 +1,18 @@
 """Incremental MinDist across an upward II sweep.
 
-The driver's II search solves MinDist at ``mii, mii+1, …`` — a fresh
-O(n³) Floyd–Warshall per candidate even though the edge weights are an
-affine function of the II (``W(II) = L - II*Δ`` per edge).  Every
-MinDist entry is therefore the upper envelope of lines with slope
-``-Δ(path)``: moving from II to II+1 shifts the value of *every* path
-down by exactly its distance sum.  :class:`MinDistSweep` exploits that
-structure:
+The schedulers' II search solves MinDist at ``mii, mii+1, …`` even
+though the edge weights are an affine function of the II
+(``W(II) = L - II*Δ`` per edge).  Every MinDist entry is therefore the upper envelope of
+lines with slope ``-Δ(path)``: moving from II to II+1 shifts the value
+of *every* path down by exactly its distance sum.
+:class:`MinDistSweep` exploits that structure:
 
-* the first solve of a sweep is the plain vectorized Floyd–Warshall
-  (:func:`repro.engine.mindist.solve` — single-attempt searches pay
-  nothing extra);
-* the first *advance* (a request for ``base+1``) runs one
-  slope-augmented Floyd–Warshall over the lexicographic
-  ``(max value, min slope)`` semiring, recording for every pair the
-  distance sum ``S`` of a value-maximising path;
+* the first solve of a sweep is the plain condensation solve
+  (:func:`repro.engine.mindist.closure` — about O(n·|E|) on nearly
+  acyclic loops, so single-attempt searches pay little);
+* the first *advance* (a request for ``base+1``) runs the same solve
+  over the lexicographic ``(max value, min slope)`` semiring, recording
+  for every pair the distance sum ``S`` of a value-maximising path;
 * every later advance is O(n²) + O(n·|E|): the candidate matrix is
   ``C = D - S`` (each entry the genuine value of a known path at the
   new II, hence a pointwise lower bound on the true closure), verified
@@ -23,12 +21,15 @@ structure:
   dominates every walk, so a verified ``C`` *is* the closure,
   bit-identical to a fresh solve by construction;
 * any verification miss (slopes can go stale after repeated shifts)
-  falls back to a fresh slope-augmented solve and re-bases the sweep —
-  counted, never silent.
+  falls back to a fresh slope solve and re-bases the sweep — counted,
+  never silent.
 
 The sweep is lock-guarded and memoizes recent IIs, so concurrent
 portfolio members racing the same loop share one advancing frontier
-instead of each re-solving the matrix ladder.
+instead of each re-solving the matrix ladder.  It notices a mutated
+graph in O(1) through :attr:`DependenceGraph.version
+<repro.graph.ddg.DependenceGraph.version>` and then derives everything
+afresh.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ import numpy as np
 from repro.engine.mindist import (
     NO_PATH,
     _NO_PATH_CUTOFF,
+    closure,
     factorise,
-    graph_fingerprint,
     solve,
 )
 from repro.graph.ddg import DependenceGraph
@@ -73,10 +74,11 @@ class MinDistSweep:
     — ``(dist, names)`` read-only, or ``None`` for an infeasible II — but
     consecutive IIs are advanced incrementally instead of re-solved.
 
-    ``incremental=False`` disables the advance path (every miss is a
-    fresh plain solve); the ``engine_sweep`` perf tier uses it as the
-    like-for-like baseline.  ``cross_check=True`` re-solves after every
-    advance and asserts element-wise equality (QA hook).
+    ``incremental=False`` disables the advance path: every miss is a
+    fresh whole-graph Floyd–Warshall (:func:`repro.engine.mindist.solve`),
+    the baseline the ``engine_sweep`` perf tier measures the sweep
+    against.  ``cross_check=True`` re-solves after every advance with
+    that same reference and asserts element-wise equality (QA hook).
     """
 
     def __init__(
@@ -92,16 +94,11 @@ class MinDistSweep:
         self._cross_check = cross_check
         self._memo_entries = max(1, memo_entries)
         self._lock = threading.Lock()
-        self._fingerprint = graph_fingerprint(graph)
-        self._factors = factorise(graph)
         #: II -> (dist, names) | None, LRU oldest-first.
         self._memo: "OrderedDict[int, tuple[np.ndarray, list[str]] | None]" = (
             OrderedDict()
         )
-        self._base_ii: int | None = None
-        self._base_dist: np.ndarray | None = None
-        self._slope: np.ndarray | None = None
-        self._reach: np.ndarray | None = None
+        self._reset()
         self.fresh_solves = 0
         self.incremental_steps = 0
         self.fallbacks = 0
@@ -114,7 +111,8 @@ class MinDistSweep:
         """MinDist at *ii* — memoized, advanced incrementally when the
         request extends the current sweep by one II."""
         with self._lock:
-            self._check_fingerprint()
+            if self._graph.version != self._version:
+                self._reset()
             cached = self._memo.get(ii, _MISSING)
             if cached is not _MISSING:
                 self.memo_hits += 1
@@ -136,18 +134,17 @@ class MinDistSweep:
         }
 
     # ------------------------------------------------------------------
-    def _check_fingerprint(self) -> None:
-        fingerprint = graph_fingerprint(self._graph)
-        if fingerprint != self._fingerprint:
-            # The graph mutated under the sweep: every derived state is
-            # stale, so start over from a fresh factorisation.
-            self._fingerprint = fingerprint
-            self._factors = factorise(self._graph)
-            self._memo.clear()
-            self._base_ii = None
-            self._base_dist = None
-            self._slope = None
-            self._reach = None
+    def _reset(self) -> None:
+        """Derive everything afresh from the graph as it is now: on
+        construction, and whenever the graph's ``version`` says it
+        mutated under the sweep."""
+        self._version = self._graph.version
+        self._factors = factorise(self._graph)
+        self._memo.clear()
+        self._base_ii: int | None = None
+        self._base_dist: np.ndarray | None = None
+        self._slope: np.ndarray | None = None
+        self._reach: np.ndarray | None = None
 
     def _solve_locked(
         self, ii: int
@@ -195,20 +192,16 @@ class MinDistSweep:
         self, ii: int, with_slopes: bool
     ) -> tuple[np.ndarray, list[str]] | None:
         factors = self._factors
-        if with_slopes:
-            solved = self._solve_with_slopes(ii)
-            if solved is None:
-                return None
-            dist, slope = solved
-            dist.setflags(write=False)
-            self._adopt(ii, dist, slope)
-            return dist, factors.names
-        result = solve(factors, ii)
-        if result is None:
+        if not self._incremental:
+            # The perf tier's baseline: a whole-graph Floyd–Warshall.
+            return solve(factors, ii)
+        solved = closure(factors, ii, slopes=with_slopes)
+        if solved is None:
             return None
-        if self._base_ii is None or ii >= self._base_ii:
-            self._adopt(ii, result[0], None)
-        return result
+        dist, slope = solved
+        if with_slopes or self._base_ii is None or ii >= self._base_ii:
+            self._adopt(ii, dist, slope)
+        return dist, factors.names
 
     def _adopt(
         self, ii: int, dist: np.ndarray, slope: np.ndarray | None
@@ -261,55 +254,3 @@ class MinDistSweep:
                 f"incremental MinDist advance diverged from the fresh "
                 f"solve at II={ii} for graph {self._graph.name!r}"
             )
-
-    # ------------------------------------------------------------------
-    def _solve_with_slopes(
-        self, ii: int
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Floyd–Warshall over the lexicographic ``(max value, min
-        slope)`` semiring.
-
-        The slope of a path is its distance sum — exactly how much the
-        path's value drops per unit of II.  Selecting the *minimum*
-        slope among value-maximising paths keeps ``D - S`` the best
-        possible lower bound at II+1 (the maximiser that decays
-        slowest), which is what lets the shifted candidate stay exact
-        across long sweeps.
-        """
-        factors = self._factors
-        n = len(factors.names)
-        dist = np.full((n, n), NO_PATH, dtype=np.int64)
-        slope = np.zeros((n, n), dtype=np.int64)
-        if factors.src.size:
-            weights = factors.lat - factors.delta * ii
-            np.maximum.at(dist, (factors.src, factors.dst), weights)
-            # Min distance among the value-maximising parallel edges.
-            big = np.iinfo(np.int64).max
-            seed = np.full((n, n), big, dtype=np.int64)
-            best = weights == dist[factors.src, factors.dst]
-            np.minimum.at(
-                seed,
-                (factors.src[best], factors.dst[best]),
-                factors.delta[best],
-            )
-            slope = np.where(seed == big, np.int64(0), seed)
-
-        for k in range(n):
-            via = dist[:, k, None] + dist[None, k, :]
-            via_s = slope[:, k, None] + slope[None, k, :]
-            better = via > dist
-            np.copyto(dist, via, where=better)
-            np.copyto(slope, via_s, where=better)
-            # Equal-value paths through k with a smaller slope win the
-            # tie (genuine paths only — saturated sums are below the
-            # cutoff and never tie a real value).
-            tie = (via == dist) & (via_s < slope) & (via > _NO_PATH_CUTOFF)
-            np.copyto(slope, via_s, where=tie)
-            bad = dist < _NO_PATH_CUTOFF
-            if bad.any():
-                dist[bad] = NO_PATH
-                slope[bad] = 0
-
-        if np.any(np.diag(dist) > 0):
-            return None
-        return dist, slope

@@ -59,6 +59,15 @@ from repro.frontend.tokens import Token, TokenKind
 #: Relational operators accepted in conditions (``/=`` is not-equal).
 RELOPS = frozenset({"<", "<=", ">", ">=", "==", "/="})
 
+#: Deepest expression or condition the parser accepts.  Two measures
+#: are held to it: the nesting of the text being parsed (parentheses,
+#: unary operators, call arguments, subscripts, ``not``), which bounds
+#: the parser's own recursion, and the depth of the tree it builds
+#: (a flat ``a + a + ...`` is one level per operator), which bounds the
+#: recursion of every later pass.  Deeper input raises a ParseError at
+#: the token that crossed the limit.
+MAX_EXPR_DEPTH = 100
+
 
 def parse_program(source: str) -> Program:
     """Parse *source* into a :class:`Program`."""
@@ -72,6 +81,7 @@ class _Parser:
         self._source = source
         self._tokens = tokenize(source)
         self._index = 0
+        self._nesting = 0
 
     # ------------------------------------------------------------------
     # Cursor primitives
@@ -91,6 +101,23 @@ class _Parser:
         return ParseError(
             format_diagnostic(self._source, token.location, message)
         )
+
+    def _descend(self) -> None:
+        """Enter one more level of nested expression text."""
+        self._nesting += 1
+        if self._nesting > MAX_EXPR_DEPTH:
+            raise self._too_deep()
+
+    def _too_deep(self, token: Token | None = None) -> ParseError:
+        return self._error(
+            f"expression nested deeper than {MAX_EXPR_DEPTH} levels", token
+        )
+
+    def _checked(self, depth: int, token: Token) -> int:
+        """*depth* of a node built at *token*, if within the limit."""
+        if depth > MAX_EXPR_DEPTH:
+            raise self._too_deep(token)
+        return depth
 
     def _expect_operator(self, symbol: str) -> Token:
         if not self._current.is_operator(symbol):
@@ -232,7 +259,7 @@ class _Parser:
         target: VarRef | ArrayRef
         if self._current.kind is TokenKind.LPAREN:
             self._advance()
-            subscripts = self._parse_subscripts()
+            subscripts, _ = self._expr_list()
             target = ArrayRef(token.text, subscripts, token.location)
         else:
             target = VarRef(token.text, token.location)
@@ -244,7 +271,7 @@ class _Parser:
     def _parse_if(self) -> IfStmt:
         location = self._expect_keyword("if").location
         self._expect_kind(TokenKind.LPAREN)
-        cond = self._parse_cond()
+        cond, _ = self._cond()
         self._expect_kind(TokenKind.RPAREN)
         self._expect_keyword("then")
         self._end_statement()
@@ -263,32 +290,44 @@ class _Parser:
     # ------------------------------------------------------------------
     # Conditions
     # ------------------------------------------------------------------
-    def _parse_cond(self) -> Cond:
-        cond = self._parse_and_cond()
+    # Each condition and expression method returns its node with the
+    # depth of the tree under it (a leaf is 1).
+
+    def _cond(self) -> tuple[Cond, int]:
+        cond, depth = self._and_cond()
         while self._current.is_keyword("or"):
-            location = self._advance().location
-            rhs = self._parse_and_cond()
-            cond = BoolOp("or", cond, rhs, location)
-        return cond
+            token = self._advance()
+            rhs, rhs_depth = self._and_cond()
+            cond = BoolOp("or", cond, rhs, token.location)
+            depth = self._checked(1 + max(depth, rhs_depth), token)
+        return cond, depth
 
-    def _parse_and_cond(self) -> Cond:
-        cond = self._parse_not_cond()
+    def _and_cond(self) -> tuple[Cond, int]:
+        cond, depth = self._not_cond()
         while self._current.is_keyword("and"):
-            location = self._advance().location
-            rhs = self._parse_not_cond()
-            cond = BoolOp("and", cond, rhs, location)
-        return cond
+            token = self._advance()
+            rhs, rhs_depth = self._not_cond()
+            cond = BoolOp("and", cond, rhs, token.location)
+            depth = self._checked(1 + max(depth, rhs_depth), token)
+        return cond, depth
 
-    def _parse_not_cond(self) -> Cond:
+    def _not_cond(self) -> tuple[Cond, int]:
+        self._descend()
         if self._current.is_keyword("not"):
-            location = self._advance().location
-            return NotOp(self._parse_not_cond(), location)
-        if self._current.kind is TokenKind.LPAREN and self._is_paren_cond():
+            token = self._advance()
+            operand, depth = self._not_cond()
+            result = (
+                NotOp(operand, token.location),
+                self._checked(1 + depth, token),
+            )
+        elif self._current.kind is TokenKind.LPAREN and self._is_paren_cond():
             self._advance()
-            cond = self._parse_cond()
+            result = self._cond()
             self._expect_kind(TokenKind.RPAREN)
-            return cond
-        return self._parse_compare()
+        else:
+            result = self._compare()
+        self._nesting -= 1
+        return result
 
     def _is_paren_cond(self) -> bool:
         """Disambiguate ``(cond)`` from a parenthesised arithmetic operand.
@@ -318,64 +357,76 @@ class _Parser:
                 return False
         return False
 
-    def _parse_compare(self) -> Compare:
-        lhs = self._parse_expr()
+    def _compare(self) -> tuple[Compare, int]:
+        lhs, lhs_depth = self._expr()
         token = self._current
         if token.kind is not TokenKind.OPERATOR or token.text not in RELOPS:
             raise self._error("expected a relational operator")
         self._advance()
-        rhs = self._parse_expr()
-        return Compare(token.text, lhs, rhs, token.location)
+        rhs, rhs_depth = self._expr()
+        return (
+            Compare(token.text, lhs, rhs, token.location),
+            self._checked(1 + max(lhs_depth, rhs_depth), token),
+        )
 
     # ------------------------------------------------------------------
     # Arithmetic expressions
     # ------------------------------------------------------------------
     def _parse_expr(self) -> Expr:
-        expr = self._parse_term()
+        return self._expr()[0]
+
+    def _expr(self) -> tuple[Expr, int]:
+        self._descend()
+        expr, depth = self._term()
         while self._current.is_operator("+") or self._current.is_operator("-"):
             token = self._advance()
-            rhs = self._parse_term()
+            rhs, rhs_depth = self._term()
             expr = BinOp(token.text, expr, rhs, token.location)
-        return expr
+            depth = self._checked(1 + max(depth, rhs_depth), token)
+        self._nesting -= 1
+        return expr, depth
 
-    def _parse_term(self) -> Expr:
-        expr = self._parse_factor()
+    def _term(self) -> tuple[Expr, int]:
+        expr, depth = self._factor()
         while self._current.is_operator("*") or self._current.is_operator("/"):
             token = self._advance()
-            rhs = self._parse_factor()
+            rhs, rhs_depth = self._factor()
             expr = BinOp(token.text, expr, rhs, token.location)
-        return expr
+            depth = self._checked(1 + max(depth, rhs_depth), token)
+        return expr, depth
 
-    def _parse_factor(self) -> Expr:
-        if self._current.is_operator("-"):
-            token = self._advance()
-            return UnaryOp("-", self._parse_factor(), token.location)
-        if self._current.is_operator("+"):
+    def _factor(self) -> tuple[Expr, int]:
+        token = self._current
+        if token.is_operator("-") or token.is_operator("+"):
             self._advance()
-            return self._parse_factor()
-        return self._parse_primary()
+            self._descend()
+            operand, depth = self._factor()
+            self._nesting -= 1
+            if token.text == "+":
+                return operand, depth
+            return (
+                UnaryOp("-", operand, token.location),
+                self._checked(1 + depth, token),
+            )
+        return self._primary()
 
-    def _parse_primary(self) -> Expr:
+    def _primary(self) -> tuple[Expr, int]:
         token = self._current
         if token.kind is TokenKind.NUMBER:
             self._advance()
-            return Num(Fraction(token.text), token.location)
+            return Num(Fraction(token.text), token.location), 1
         if token.kind is TokenKind.LPAREN:
             self._advance()
-            expr = self._parse_expr()
+            result = self._expr()
             self._expect_kind(TokenKind.RPAREN)
-            return expr
+            return result
         if token.kind is TokenKind.IDENT:
             self._advance()
             if self._current.kind is not TokenKind.LPAREN:
-                return VarRef(token.text, token.location)
+                return VarRef(token.text, token.location), 1
             self._advance()
             if token.text in INTRINSICS:
-                args = [self._parse_expr()]
-                while self._current.kind is TokenKind.COMMA:
-                    self._advance()
-                    args.append(self._parse_expr())
-                self._expect_kind(TokenKind.RPAREN)
+                args, depth = self._expr_list()
                 arity = INTRINSICS[token.text]
                 if len(args) != arity:
                     raise self._error(
@@ -383,16 +434,26 @@ class _Parser:
                         f"{'s' if arity != 1 else ''}, got {len(args)}",
                         token,
                     )
-                return Call(token.text, tuple(args), token.location)
-            subscripts = self._parse_subscripts()
-            return ArrayRef(token.text, subscripts, token.location)
+                return (
+                    Call(token.text, args, token.location),
+                    self._checked(1 + depth, token),
+                )
+            subscripts, depth = self._expr_list()
+            return (
+                ArrayRef(token.text, subscripts, token.location),
+                self._checked(1 + depth, token),
+            )
         raise self._error("expected an expression")
 
-    def _parse_subscripts(self) -> tuple[Expr, ...]:
-        """Comma-separated subscript list; the ``(`` is already consumed."""
-        subscripts = [self._parse_expr()]
+    def _expr_list(self) -> tuple[tuple[Expr, ...], int]:
+        """Comma-separated expressions up to and including the ``)``
+        (the ``(`` is already consumed), with the deepest one's depth."""
+        expr, depth = self._expr()
+        exprs = [expr]
         while self._current.kind is TokenKind.COMMA:
             self._advance()
-            subscripts.append(self._parse_expr())
+            expr, expr_depth = self._expr()
+            exprs.append(expr)
+            depth = max(depth, expr_depth)
         self._expect_kind(TokenKind.RPAREN)
-        return tuple(subscripts)
+        return tuple(exprs), depth

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from repro.errors import CircuitLimitExceeded
 from repro.graph.ddg import DependenceGraph
 from repro.graph.edges import Edge
+from repro.graph.traversal import strongly_connected
 
 #: Safety cap — graphs in this domain have few circuits; a pathological
 #: generator output should fail loudly rather than hang.
@@ -65,51 +66,6 @@ class Circuit:
     backward_keys: frozenset[tuple[str, str, int, str]] = field(
         compare=False
     )
-
-
-def _strongly_connected(successors: list[list[int]]) -> list[int]:
-    """Tarjan's SCCs (iterative): a component id for every node."""
-    count = len(successors)
-    index = [-1] * count
-    lowlink = [0] * count
-    on_stack = [False] * count
-    component = [-1] * count
-    stack: list[int] = []
-    counter = 0
-    components = 0
-    for root in range(count):
-        if index[root] >= 0:
-            continue
-        work = [(root, 0)]
-        while work:
-            node, edge_idx = work.pop()
-            if edge_idx == 0:
-                index[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            neighbors = successors[node]
-            for i in range(edge_idx, len(neighbors)):
-                succ = neighbors[i]
-                if index[succ] < 0:
-                    work.append((node, i + 1))
-                    work.append((succ, 0))
-                    break
-                if on_stack[succ]:
-                    lowlink[node] = min(lowlink[node], index[succ])
-            else:
-                if lowlink[node] == index[node]:
-                    while True:
-                        member = stack.pop()
-                        on_stack[member] = False
-                        component[member] = components
-                        if member == node:
-                            break
-                    components += 1
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
-    return component
 
 
 def _reach(start: int, links: list[list[int]], allowed: set[int]) -> set[int]:
@@ -144,7 +100,7 @@ def elementary_circuits(
     budget = max_circuits - sum(
         (node, node) in search.hop_info for node in range(count)
     )
-    component = _strongly_connected(search.successors)
+    component = strongly_connected(search.successors)
     members: dict[int, set[int]] = {}
     for node in range(count):
         members.setdefault(component[node], set()).add(node)

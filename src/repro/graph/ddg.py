@@ -34,6 +34,9 @@ class DependenceGraph:
         self._out: dict[str, list[Edge]] = {}
         self._in: dict[str, list[Edge]] = {}
         self._edge_keys: set[tuple[str, str, int, str]] = set()
+        #: Bumped by every mutation that changes the graph, so derived
+        #: state (the MinDist sweep) can tell it is stale in O(1).
+        self.version = 0
 
     # ------------------------------------------------------------------
     # Construction / mutation
@@ -45,6 +48,7 @@ class DependenceGraph:
         self._ops[op.name] = op
         self._out[op.name] = []
         self._in[op.name] = []
+        self.version += 1
         return op
 
     def add_edge(self, edge: Edge) -> Edge:
@@ -61,6 +65,7 @@ class DependenceGraph:
         self._edge_keys.add(edge.key)
         self._out[edge.src].append(edge)
         self._in[edge.dst].append(edge)
+        self.version += 1
         return edge
 
     def remove_edge(self, edge: Edge) -> None:
@@ -72,6 +77,7 @@ class DependenceGraph:
             e for e in self._out[edge.src] if e.key != edge.key
         ]
         self._in[edge.dst] = [e for e in self._in[edge.dst] if e.key != edge.key]
+        self.version += 1
 
     def remove_operation(self, name: str) -> None:
         """Remove an operation and every edge incident to it."""
@@ -82,6 +88,7 @@ class DependenceGraph:
         del self._ops[name]
         del self._out[name]
         del self._in[name]
+        self.version += 1
 
     def copy(self, name: str | None = None) -> "DependenceGraph":
         """Return an independent copy (operations are shared, edges copied)."""

@@ -8,6 +8,10 @@ and on the mutable hypernode working graph used by the pre-ordering phase.
 Ties are always broken by *program order* (the order of ``node_names()``),
 which keeps every algorithm deterministic — a requirement for reproducible
 experiments.
+
+:func:`strongly_connected` is the one Tarjan pass of the library.  It
+works on int adjacency lists instead, so the circuit search and the
+MinDist condensation can both run it over their own index tables.
 """
 
 from __future__ import annotations
@@ -190,3 +194,55 @@ def restrict_order(order: Sequence[str], keep: Iterable[str]) -> list[str]:
     """Filter *order* down to the members of *keep*, preserving sequence."""
     keep_set = set(keep)
     return [name for name in order if name in keep_set]
+
+
+def strongly_connected(successors: list[list[int]]) -> list[int]:
+    """Tarjan's SCCs (iterative) over int adjacency lists: a component
+    id for every node.
+
+    Tarjan closes a component only after every component it reaches, so
+    the ids come out in reverse topological order of the condensation:
+    an edge between two components always runs from the higher id to
+    the lower one.
+    """
+    count = len(successors)
+    index = [-1] * count
+    lowlink = [0] * count
+    on_stack = [False] * count
+    component = [-1] * count
+    stack: list[int] = []
+    counter = 0
+    components = 0
+    for root in range(count):
+        if index[root] >= 0:
+            continue
+        work = [(root, 0)]
+        while work:
+            node, edge_idx = work.pop()
+            if edge_idx == 0:
+                index[node] = lowlink[node] = counter
+                counter += 1
+                stack.append(node)
+                on_stack[node] = True
+            neighbors = successors[node]
+            for i in range(edge_idx, len(neighbors)):
+                succ = neighbors[i]
+                if index[succ] < 0:
+                    work.append((node, i + 1))
+                    work.append((succ, 0))
+                    break
+                if on_stack[succ]:
+                    lowlink[node] = min(lowlink[node], index[succ])
+            else:
+                if lowlink[node] == index[node]:
+                    while True:
+                        member = stack.pop()
+                        on_stack[member] = False
+                        component[member] = components
+                        if member == node:
+                            break
+                    components += 1
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
+    return component

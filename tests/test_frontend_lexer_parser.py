@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.errors import LexError, ParseError
+from repro.errors import LexError, ParseError, ReproError
 from repro.frontend.lexer import tokenize
 from repro.frontend.nodes import (
     ArrayRef,
@@ -19,7 +19,8 @@ from repro.frontend.nodes import (
     UnaryOp,
     VarRef,
 )
-from repro.frontend.parser import parse_program
+from repro.frontend.parser import MAX_EXPR_DEPTH, parse_program
+from repro.frontend.pipeline import compile_source
 from repro.frontend.tokens import TokenKind
 
 DAXPY = """
@@ -248,3 +249,55 @@ class TestParserControlFlow:
         outer = program.loop.body[0]
         inner = outer.then_body[0]
         assert isinstance(inner, IfStmt)
+
+
+def _loop_assigning(expr: str) -> str:
+    return (
+        "real x(1000), y(1000)\n"
+        "do i = 1, 1000\n"
+        f"  y(i) = {expr}\n"
+        "end do\n"
+    )
+
+
+class TestExpressionDepthLimit:
+    """Deep expressions fail as a located ParseError in the parser,
+    before the parser's or any later pass's recursion overflows."""
+
+    def test_thousand_nested_parentheses(self):
+        source = _loop_assigning("(" * 1000 + "x(i)" + ")" * 1000)
+        with pytest.raises(ParseError, match="nested deeper than") as info:
+            compile_source(source)
+        assert isinstance(info.value, ReproError)
+        assert "line 3:" in str(info.value)
+
+    def test_flat_three_thousand_term_sum(self):
+        source = _loop_assigning(" + ".join(["x(i)"] * 3000))
+        with pytest.raises(ParseError, match="nested deeper than") as info:
+            compile_source(source)
+        assert "line 3:" in str(info.value)
+
+    def test_deep_condition(self):
+        cond = " and ".join(["x(i) > 0"] * 1000)
+        source = (
+            "real s\nreal x(5)\ndo i = 1, 5\n"
+            f"  if ({cond}) then\n    s = 1\n  end if\nend do"
+        )
+        with pytest.raises(ParseError, match="nested deeper than"):
+            parse_program(source)
+
+    def test_deep_unary_chain(self):
+        with pytest.raises(ParseError, match="nested deeper than"):
+            parse_program(_loop_assigning("-" * 1000 + "x(i)"))
+
+    def test_expressions_at_the_limit_compile(self):
+        # The statement's own expression and the x(i) subscript are two
+        # of the levels; a chain of k terms is k + 1 deep over x(i).
+        nested = "(" * (MAX_EXPR_DEPTH - 2) + "x(i)" + ")" * (MAX_EXPR_DEPTH - 2)
+        flat = " + ".join(["x(i)"] * (MAX_EXPR_DEPTH - 1))
+        for expr in (nested, flat):
+            compile_source(_loop_assigning(expr))
+        with pytest.raises(ParseError):
+            parse_program(_loop_assigning("(" + nested + ")"))
+        with pytest.raises(ParseError):
+            parse_program(_loop_assigning(flat + " + x(i)"))

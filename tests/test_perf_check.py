@@ -136,6 +136,20 @@ def test_sizes_rows_gate_deep_hrms_search():
     assert [p.split()[2] for p in problems] == ["deep_hrms_s"]
 
 
+def test_sizes_rows_gate_production_fresh_solve():
+    tier = BY_NAME["sizes"]
+    for size, base in BASELINE["sizes"].items():
+        # The production cold solve is gated on its own, next to the
+        # Floyd–Warshall reference (mindist_cold_s).
+        assert base["mindist_fresh_s"] > 0
+        bound = base["mindist_fresh_s"] * 2.0
+        within = {**base, "mindist_fresh_s": bound * 0.99}
+        past = {**base, "mindist_fresh_s": bound * 1.01}
+        assert check_tier(tier, {size: within}, {size: base}, 2.0) == []
+        problems = check_tier(tier, {size: past}, {size: base}, 2.0)
+        assert [p.split()[2] for p in problems] == ["mindist_fresh_s"]
+
+
 def test_chaos_shape_rules():
     tier = BY_NAME["chaos"]
     base = BASELINE["chaos"]

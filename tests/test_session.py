@@ -183,6 +183,103 @@ class TestSweepMemoAndMutation:
         assert np.array_equal(solved[0], fresh_solve(graph, 6)[0])
 
 
+class TestMutationGuard:
+    """``DependenceGraph.version`` moves on every real mutation, and the
+    sweep resets on it instead of re-fingerprinting the graph."""
+
+    @staticmethod
+    def warmed_sweep(graph):
+        sweep = MinDistSweep(graph)
+        sweep.solve(5)
+        sweep.solve(6)  # slope rebase: every derived state is populated
+        return sweep
+
+    @staticmethod
+    def assert_fresh(sweep, graph, iis=(5, 6, 7)):
+        for ii in iis:
+            solved, fresh = sweep.solve(ii), fresh_solve(graph, ii)
+            assert (solved is None) == (fresh is None)
+            if fresh is not None:
+                assert np.array_equal(solved[0], fresh[0])
+                assert solved[1] == fresh[1]
+
+    def test_add_operation_resets_the_sweep(self):
+        from repro.graph.edges import Edge
+        from repro.graph.ops import Operation
+
+        graph = recurrence_graph()
+        sweep = self.warmed_sweep(graph)
+        graph.add_operation(Operation("z", latency=3))
+        self.assert_fresh(sweep, graph)
+        assert sweep.solve(5)[0].shape == (3, 3)
+        graph.add_edge(Edge("y", "z"))
+        self.assert_fresh(sweep, graph)
+
+    def test_add_edge_resets_the_sweep(self):
+        from repro.graph.edges import DependenceKind, Edge
+
+        graph = recurrence_graph()
+        sweep = self.warmed_sweep(graph)
+        graph.add_edge(
+            Edge("y", "x", distance=2, kind=DependenceKind.MEMORY)
+        )
+        graph.add_edge(Edge("x", "x", distance=1))  # self-loop: 4 - ii
+        self.assert_fresh(sweep, graph, iis=(3, 5, 6, 7))
+
+    def test_remove_edge_resets_the_sweep(self):
+        graph = recurrence_graph()
+        sweep = self.warmed_sweep(graph)
+        (back,) = [e for e in graph.edges() if e.distance == 1]
+        graph.remove_edge(back)
+        self.assert_fresh(sweep, graph, iis=(1, 5, 6))
+        assert sweep.solve(1) is not None  # the recurrence is gone
+
+    def test_remove_operation_resets_the_sweep(self):
+        from repro.graph.ops import Operation
+
+        graph = recurrence_graph()
+        graph.add_operation(Operation("lone"))  # no edges to remove
+        sweep = self.warmed_sweep(graph)
+        graph.remove_operation("lone")
+        self.assert_fresh(sweep, graph)
+        assert sweep.solve(5)[0].shape == (2, 2)
+        graph.remove_operation("y")
+        self.assert_fresh(sweep, graph)
+        assert sweep.solve(5)[1] == ["x"]
+
+    def test_only_real_mutations_move_the_version(self):
+        from repro.graph.edges import Edge
+
+        graph = recurrence_graph()
+        version = graph.version
+        (edge,) = [e for e in graph.edges() if e.distance == 0]
+        graph.add_edge(Edge(edge.src, edge.dst))  # duplicate: ignored
+        graph.remove_edge(Edge("y", "x", distance=7))  # absent
+        assert graph.version == version
+        sweep = self.warmed_sweep(graph)
+        before = sweep.stats()
+        assert sweep.solve(5) is not None
+        assert sweep.stats()["memo_hits"] == before["memo_hits"] + 1
+
+    def test_copy_has_an_independent_version(self):
+        from repro.graph.edges import Edge
+
+        graph = recurrence_graph()
+        clone = graph.copy()
+        sweep = self.warmed_sweep(graph)
+        version = graph.version
+        clone.add_edge(Edge("x", "y", distance=3))
+        clone.remove_operation("y")
+        assert graph.version == version
+        hits = sweep.stats()["memo_hits"]
+        sweep.solve(6)
+        assert sweep.stats()["memo_hits"] == hits + 1  # no reset
+        clone_version = clone.version
+        graph.add_edge(Edge("x", "y", distance=3))
+        assert graph.version == version + 1
+        assert clone.version == clone_version
+
+
 class TestSchedulingSession:
     def test_analysis_computed_once(self):
         graph = random_ddg(random.Random(11), 18, name="sess18")
@@ -233,7 +330,7 @@ class TestSchedulingSession:
 
 class TestSweepTracing:
     def test_fresh_solves_emit_mindist_spans_under_search(self):
-        """Every fresh O(n³) solve of the sweep — plain and
+        """Every fresh solve of the sweep — plain and
         slope-augmented — is one ``mindist.solve`` span under
         ``scheduler.search``; incremental advances and memo hits are
         not."""
