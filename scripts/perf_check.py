@@ -3,7 +3,7 @@
 
 Runs every tier in :data:`TIERS` — the scalability hot paths on the
 seeded synthetic loops ``benchmarks/bench_scalability.py`` uses, the
-II-sweep engine and batch fast path, the live service, the portfolio
+per-II MinDist solve and batch fast path, the live service, the portfolio
 race, the thread/process backends, the mini fuzzing, chaos and
 conformance campaigns, tracing overhead, and the documentation gate —
 writes the numbers to ``BENCH_scalability.json`` and **fails loudly**
@@ -36,13 +36,14 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
+from unittest import mock
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.scheduler import HRMSScheduler  # noqa: E402
-from repro.engine import MinDistSweep, SchedulingSession  # noqa: E402
-from repro.engine.mindist import factorise, solve  # noqa: E402
+from repro.engine import SchedulingSession  # noqa: E402
+from repro.engine.mindist import closure, factorise, solve  # noqa: E402
 from repro.machine.configs import perfect_club_machine  # noqa: E402
 from repro.mii.analysis import compute_mii  # noqa: E402
 from repro.service.faults import POINTS  # noqa: E402
@@ -69,12 +70,13 @@ def measure_size(size: int, machine, repeats: int = 3) -> dict:
     mii = _best_of(repeats, lambda: compute_mii(graph, machine))
 
     # Cold: the pure factorise + whole-graph Floyd–Warshall reference.
-    # Fresh: the production cold solve, a new sweep's first query
-    # (factorise with its condensation, then the condensation solve).
-    # Warm: a memo hit of the session's sweep, the path every scheduler
-    # queries.
+    # Fresh: the production cold solve (factorise with its condensation,
+    # then one condensation solve).  Warm: a memo hit of the session's
+    # MinDist, the path every scheduler queries.
     cold = _best_of(repeats, lambda: solve(factorise(graph), analysis.mii))
-    fresh = _best_of(repeats, lambda: MinDistSweep(graph).solve(analysis.mii))
+    fresh = _best_of(
+        repeats, lambda: closure(factorise(graph), analysis.mii)
+    )
 
     session = SchedulingSession(graph, machine, analysis)
     session.mindist(analysis.mii)
@@ -159,10 +161,10 @@ def _serve(
     return wall, records
 
 
-#: Minimum cold multi-attempt speedup the II-sweep engine must deliver
-#: over fresh per-II Floyd–Warshall solves on the 160-op workload.  The
-#: sweep replaces ~45 O(n³) solves with two (base + slope closure) plus
-#: O(n²) advances, so ~3x is typical; 2x leaves noise headroom.
+#: Minimum cold multi-attempt speedup the per-II condensation solve
+#: (``closure``) must deliver over per-II whole-graph Floyd–Warshall
+#: solves on the 160-op workload.  Each of the ~45 attempts trades an
+#: O(n³) solve for an about O(n·|E|) one; 2x leaves noise headroom.
 SWEEP_SPEEDUP_TARGET = 2.0
 #: Minimum throughput ratio of one ``POST /v1/batch`` of 64 requests
 #: over 64 sequential individual submissions (same store temperature,
@@ -178,17 +180,18 @@ def measure_engine_sweep(
     batch_graphs: int = 16,
     workers: int = 4,
 ) -> dict:
-    """Engine-sweep tier: the II-sweep core and the batch fast path.
+    """Engine-sweep tier: the per-II MinDist solve and the batch fast path.
 
     Two gated halves:
 
     * **sweep** — schedule the seeded *size*-op loop (a deep II search:
-      ~45 attempts with FRLC) cold, once with the incremental sweep and
-      once with ``incremental=False`` (every II a fresh Floyd–Warshall
-      solve).  The sweep must be :data:`SWEEP_SPEEDUP_TARGET` times
-      faster and the schedules bit-identical — the sweep is an
-      optimisation, never a semantic change.  The MII analysis is
-      precomputed outside both timed regions (identical in both modes).
+      ~45 attempts with FRLC) cold, once with per-II ``closure`` (the
+      production path) and once with the session's ``closure`` swapped
+      for the whole-graph Floyd–Warshall ``solve``.  ``closure`` must be
+      :data:`SWEEP_SPEEDUP_TARGET` times faster and the schedules
+      bit-identical — the condensation solve is an optimisation, never
+      a semantic change.  The MII analysis is precomputed outside both
+      timed regions (identical in both modes).
     * **batch** — 64 schedule requests (*batch_graphs* loops × 4
       heuristics, one machine) through a live HTTP server twice: one
       ``POST /v1/batch`` waited on together, then 64 sequential
@@ -206,13 +209,11 @@ def measure_engine_sweep(
     analysis = compute_mii(graph, machine)
     scheduler = make_scheduler("frlc")
 
-    def run_mode(incremental: bool):
+    def run_mode():
         best = float("inf")
         schedule = session = None
         for _ in range(repeats):
-            session = SchedulingSession(
-                graph, machine, analysis, incremental=incremental
-            )
+            session = SchedulingSession(graph, machine, analysis)
             began = time.perf_counter()
             schedule = scheduler.schedule(
                 graph, machine, analysis, session=session
@@ -220,8 +221,9 @@ def measure_engine_sweep(
             best = min(best, time.perf_counter() - began)
         return best, schedule, session.sweep_stats()
 
-    sweep_s, sweep_schedule, sweep_stats = run_mode(True)
-    fresh_s, fresh_schedule, _ = run_mode(False)
+    sweep_s, sweep_schedule, sweep_stats = run_mode()
+    with mock.patch("repro.engine.session.closure", solve):
+        fresh_s, fresh_schedule, _ = run_mode()
     identical = (
         sweep_schedule.ii == fresh_schedule.ii
         and dict(sweep_schedule.start) == dict(fresh_schedule.start)
@@ -824,22 +826,23 @@ TIERS: tuple[Tier, ...] = (
     ),
     Tier(
         "engine_sweep",
-        "incremental II-sweep vs fresh per-II solves on a multi-attempt "
+        "per-II `closure` vs per-II Floyd–Warshall on a multi-attempt "
         "160-op loop, plus /v1/batch vs individual submissions (speedup "
         "floors gated)",
         measure_engine_sweep,
-        "{attempts}-attempt {size}-op search: sweep {sweep_s:.3f}s vs "
-        "fresh {fresh_s:.3f}s ({sweep_speedup:.2f}x); batch of "
+        "{attempts}-attempt {size}-op search: per-II closure "
+        "{sweep_s:.3f}s vs per-II Floyd–Warshall {fresh_s:.3f}s "
+        "({sweep_speedup:.2f}x); batch of "
         "{batch_jobs} jobs {batch_jobs_per_s:.1f} vs "
         "{individual_jobs_per_s:.1f} jobs/s individually "
         "({batch_speedup:.2f}x)",
         (
             Rule("identical_schedules", "true",
-                 hint="the incremental sweep must match fresh solves"),
+                 hint="per-II closure must match per-II Floyd–Warshall"),
             Rule("identical_batch_iis", "true",
                  hint="the batch path must not change results"),
             Rule("sweep_speedup", "floor", SWEEP_SPEEDUP_TARGET,
-                 hint="incremental sweep over fresh per-II solves"),
+                 hint="per-II closure over per-II Floyd–Warshall"),
             Rule("batch_speedup", "floor", BATCH_SPEEDUP_TARGET,
                  hint="/v1/batch over individual submissions"),
             *rules("exact", "ii", "attempts", "batch_iis", hint=_SAME),

@@ -12,14 +12,11 @@ Usage::
     PYTHONPATH=src python scripts/profile_schedule.py                  # defaults
     PYTHONPATH=src python scripts/profile_schedule.py --size 160 --scheduler frlc
     PYTHONPATH=src python scripts/profile_schedule.py --kernel daxpy --scheduler sms
-    PYTHONPATH=src python scripts/profile_schedule.py --no-sweep      # fresh per-II solves
     PYTHONPATH=src python scripts/profile_schedule.py --sort tottime --top 30
     PYTHONPATH=src python scripts/profile_schedule.py --out profile.pstats
 
 ``--out`` saves the raw stats for ``snakeviz``/``pstats`` digging; the
-printed report is always emitted.  ``--no-sweep`` disables the
-incremental II-sweep (every II a fresh Floyd–Warshall), which is the
-interesting A/B when profiling the engine itself.
+printed report is always emitted.
 """
 
 from __future__ import annotations
@@ -105,11 +102,6 @@ def main(argv: list[str] | None = None) -> int:
         help="machine config name (default: %(default)s)",
     )
     parser.add_argument(
-        "--no-sweep", action="store_true",
-        help="disable the incremental II-sweep (every II a fresh "
-             "Floyd–Warshall solve) — the A/B for engine profiling",
-    )
-    parser.add_argument(
         "--repeat", type=int, default=1,
         help="schedule the cell N times inside the profile "
              "(default: %(default)s; raise it to drown out one-time "
@@ -140,10 +132,7 @@ def main(argv: list[str] | None = None) -> int:
 
     def cell() -> None:
         for _ in range(args.repeat):
-            session = SchedulingSession(
-                graph, machine, analysis,
-                incremental=not args.no_sweep,
-            )
+            session = SchedulingSession(graph, machine, analysis)
             scheduler.schedule(graph, machine, analysis, session=session)
 
     profiler = cProfile.Profile()
@@ -153,16 +142,13 @@ def main(argv: list[str] | None = None) -> int:
 
     # One un-profiled run to report the search shape alongside the
     # numbers (cProfile inflates wall time; the shape does not change).
-    session = SchedulingSession(
-        graph, machine, analysis, incremental=not args.no_sweep
-    )
+    session = SchedulingSession(graph, machine, analysis)
     schedule = scheduler.schedule(graph, machine, analysis, session=session)
     print(
         f"profile_schedule: {graph.name} ({len(graph)} ops) x "
         f"{args.scheduler} on {args.machine}: II {schedule.ii} "
         f"(MII {analysis.mii}), {schedule.stats.attempts} attempts, "
-        f"sweep {'off' if args.no_sweep else 'on'} "
-        f"{session.sweep_stats()}"
+        f"MinDist {session.sweep_stats()}"
     )
     stats = pstats.Stats(profiler)
     if args.out is not None:

@@ -14,16 +14,11 @@ structure out once per graph and keeps the per-II work vectorized:
   successors first, with Floyd–Warshall only inside non-trivial SCCs —
   about O(n·|E|) on nearly acyclic loops.  It keeps no state.
   :func:`~repro.engine.mindist.solve`, one whole-graph O(n³)
-  Floyd–Warshall, is the reference every faster path is checked
-  against.
-* :class:`~repro.engine.sweep.MinDistSweep` — the II-sweep solver: it
-  materialises MinDist once at the search's base II and advances to each
-  successive II with an O(n²) shift of the (value, slope) closure plus an
-  O(n·|E|) exactness verification, falling back to a fresh condensation
-  solve whenever the shifted matrix cannot be proven exact.  Results are
-  bit-identical to fresh solves by construction.
+  Floyd–Warshall with the same signature, is the reference it is
+  checked against.
 * :class:`~repro.engine.session.SchedulingSession` — one object per
-  (graph, machine) pair owning the MII analysis, the sweep, and the
+  (graph, machine) pair owning the MII analysis, the MinDist memo (one
+  ``closure`` per II, re-factorised when the graph mutates), and the
   per-thread attempt scratch (StartBounds, reservation tables).
   :class:`~repro.engine.session.SessionCache` maps request identities
   onto live sessions so batch submissions and portfolio races share
@@ -32,7 +27,7 @@ structure out once per graph and keeps the per-II work vectorized:
   vectorized transitive EarlyStart/LateStart bounds: one O(n) NumPy
   update per placement instead of an O(n) Python loop per *query*.
 
-There is one MinDist path: scheduler → session → sweep → ``closure``.
+There is one MinDist path: scheduler → ``session.mindist`` → ``closure``.
 The matrices it returns are read-only and shared between callers;
 treat them as immutable.
 """
@@ -49,16 +44,13 @@ from repro.engine.session import (
     session_for,
     shared_session_cache,
 )
-from repro.engine.sweep import MinDistSweep, SweepCrossCheckError
 from repro.engine.windows import StartBounds
 
 __all__ = [
     "NO_PATH",
-    "MinDistSweep",
     "SchedulingSession",
     "SessionCache",
     "StartBounds",
-    "SweepCrossCheckError",
     "fingerprint_digest",
     "graph_fingerprint",
     "session_for",

@@ -17,15 +17,15 @@ vectorized:
   successors first: a node on no cycle takes the best of its out-edges
   plus its successors' finished rows, and only a non-trivial SCC runs
   Floyd–Warshall, on its own block.  Dependence graphs are nearly
-  acyclic, so this costs about O(n·|E|) instead of O(n³).  It also
-  produces the ``(value, slope)`` matrices the sweep's rebase needs.
-* :func:`solve` is one whole-graph Floyd–Warshall sweep with NO_PATH
-  saturation, kept as the O(n³) reference: the sweep's cross-check,
-  the tests and the ``incremental=False`` perf baseline use it.
+  acyclic, so this costs about O(n·|E|) instead of O(n³).
+* :func:`solve` is one whole-graph Floyd–Warshall with NO_PATH
+  saturation, kept as the O(n³) reference: the tests and the
+  ``engine_sweep`` perf baseline use it.  It has :func:`closure`'s
+  signature and return type, so either can stand in for the other.
 
-Memoization and the incremental II+1 advance live in
-:class:`repro.engine.sweep.MinDistSweep`, which every scheduler reaches
-through its :class:`~repro.engine.session.SchedulingSession`.
+Memoization lives in :meth:`SchedulingSession.mindist
+<repro.engine.session.SchedulingSession.mindist>`, which every
+scheduler reaches; it runs :func:`closure` once per II.
 """
 
 from __future__ import annotations
@@ -44,9 +44,6 @@ NO_PATH = -(10**9)
 
 #: Entries at or below this threshold mean "no constraint".
 _NO_PATH_CUTOFF = NO_PATH // 2
-
-#: Slope placeholder that loses every min (never stored).
-_BIG = np.iinfo(np.int64).max
 
 
 def graph_fingerprint(graph: DependenceGraph) -> tuple:
@@ -87,14 +84,13 @@ def fingerprint_digest(graph: DependenceGraph) -> str:
 class _Exits:
     """Edges leaving a set of finished rows, grouped by source.
 
-    ``sources[k]`` owns ``edges[starts[k] : starts[k] + counts[k]]``
-    (global edge indices), so one ``reduceat`` folds every group.
+    ``sources[k]`` owns ``edges[starts[k] : starts[k + 1]]`` (global
+    edge indices), so one ``reduceat`` folds every group.
     """
 
     sources: np.ndarray
     edges: np.ndarray
     starts: np.ndarray
-    counts: np.ndarray
 
 
 @dataclass
@@ -222,7 +218,6 @@ def _condense(
     edges = edges[np.argsort(level[csrc[edges]], kind="stable")]
     heads = src[edges]
     starts = _group_starts(heads)
-    counts = np.diff(np.append(starts, edges.size))
     depth = int(level.max()) + 1 if count else 0
     bounds = np.searchsorted(
         level[component[heads[starts]]], np.arange(depth + 1)
@@ -234,7 +229,6 @@ def _condense(
                 sources=heads[starts[g0:g1]],
                 edges=edges[e0:e1],
                 starts=starts[g0:g1] - e0,
-                counts=counts[g0:g1],
             ),
             components=[],
         )
@@ -260,7 +254,6 @@ def _condense(
                 sources=exit_src[exit_starts],
                 edges=exits,
                 starts=exit_starts,
-                counts=np.diff(np.append(exit_starts, exits.size)),
             ),
         ))
     return component, levels
@@ -280,90 +273,48 @@ def _self_edges_infeasible(factors: _GraphFactors, ii: int) -> bool:
 
 
 def _floyd_warshall(
-    n: int,
-    src: np.ndarray,
-    dst: np.ndarray,
-    weights: np.ndarray,
-    delta: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Longest-path closure of the *n*-node edge list, NO_PATH-saturated.
-
-    With *delta*, the sweep runs over the lexicographic ``(max value,
-    min slope)`` semiring: the slope of a path is its distance sum —
-    exactly how much the path's value drops per unit of II — and among
-    value-maximising paths the one that decays slowest wins.
-    """
+    n: int, src: np.ndarray, dst: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Longest-path closure of the *n*-node edge list, NO_PATH-saturated."""
     dist = np.full((n, n), NO_PATH, dtype=np.int64)
     if src.size:
         np.maximum.at(dist, (src, dst), weights)
-    if delta is None:
-        for k in range(n):
-            via = dist[:, k, None] + dist[None, k, :]
-            np.maximum(dist, via, out=dist)
-            # Keep "no path" saturated so chained NO_PATH values cannot
-            # creep upward into the feasible range.
-            dist[dist < _NO_PATH_CUTOFF] = NO_PATH
-        return dist, None
-
-    slope = np.zeros((n, n), dtype=np.int64)
-    if src.size:
-        # Min distance among the value-maximising parallel edges.
-        seed = np.full((n, n), _BIG, dtype=np.int64)
-        best = weights == dist[src, dst]
-        np.minimum.at(seed, (src[best], dst[best]), delta[best])
-        slope = np.where(seed == _BIG, np.int64(0), seed)
     for k in range(n):
         via = dist[:, k, None] + dist[None, k, :]
-        via_s = slope[:, k, None] + slope[None, k, :]
-        better = via > dist
-        np.copyto(dist, via, where=better)
-        np.copyto(slope, via_s, where=better)
-        # Equal-value paths through k with a smaller slope win the tie
-        # (genuine paths only — saturated sums are below the cutoff and
-        # never tie a real value).
-        tie = (via == dist) & (via_s < slope) & (via > _NO_PATH_CUTOFF)
-        np.copyto(slope, via_s, where=tie)
-        bad = dist < _NO_PATH_CUTOFF
-        if bad.any():
-            dist[bad] = NO_PATH
-            slope[bad] = 0
-    return dist, slope
+        np.maximum(dist, via, out=dist)
+        # Keep "no path" saturated so chained NO_PATH values cannot
+        # creep upward into the feasible range.
+        dist[dist < _NO_PATH_CUTOFF] = NO_PATH
+    return dist
 
 
-def solve(
-    factors: _GraphFactors, ii: int
-) -> tuple[np.ndarray, list[str]] | None:
+def solve(factors: _GraphFactors, ii: int) -> np.ndarray | None:
     """The MinDist matrix at *ii* by one whole-graph Floyd–Warshall, or
     ``None`` if *ii* is infeasible.
 
-    Returns ``(matrix, names)`` with rows/columns indexed by *names*
-    (program order).  The matrix is read-only; ``matrix[i, j] <=
-    NO_PATH / 2`` means "no constraint".  This O(n³) solve is the
-    reference :func:`closure` and the sweep are checked against.
+    Rows and columns are indexed by ``factors.names`` (program order).
+    The matrix is read-only; ``matrix[i, j] <= NO_PATH / 2`` means "no
+    constraint".  This O(n³) solve is the reference :func:`closure` is
+    checked against.
     """
     if _self_edges_infeasible(factors, ii):
         return None  # self-dependence violated at this II
     weights = factors.lat - factors.delta * ii
-    dist, _ = _floyd_warshall(
+    dist = _floyd_warshall(
         len(factors.names), factors.src, factors.dst, weights
     )
     if np.any(np.diag(dist) > 0):
         return None
     dist.setflags(write=False)
-    return dist, factors.names
+    return dist
 
 
-def closure(
-    factors: _GraphFactors, ii: int, *, slopes: bool = False
-) -> tuple[np.ndarray, np.ndarray | None] | None:
+def closure(factors: _GraphFactors, ii: int) -> np.ndarray | None:
     """The MinDist matrix at *ii* over the SCC condensation, or ``None``
     if *ii* is infeasible.
 
-    Returns ``(dist, slope)``: ``dist`` equals :func:`solve`'s matrix
-    element for element and is read-only; ``slope`` is ``None`` unless
-    *slopes*, when it holds the distance sum of the minimum-slope
-    value-maximising path of every pair (the ``(value, slope)``
-    semiring of the sweep's rebase).
+    The result equals :func:`solve`'s element for element and is
+    read-only.
 
     Components are solved successors first, so every row a component
     reads is final.  Let ``R[w]`` be row ``w`` with the empty path on
@@ -385,30 +336,18 @@ def closure(
     # diagonal (the best cycle, or NO_PATH) is put back at the end.
     dist = np.full((n, n), NO_PATH, dtype=np.int64)
     np.fill_diagonal(dist, 0)
-    slope = np.zeros((n, n), dtype=np.int64) if slopes else None
     diag = np.full(n, NO_PATH, dtype=np.int64)
-    diag_slope = np.zeros(n, dtype=np.int64)
     for level in factors.levels:
         rows = level.trivial.sources
         if rows.size:
-            best, best_slope = _exit_rows(
-                factors, level.trivial, weights, dist, slope
-            )
-            dist[rows] = best
+            dist[rows] = _exit_rows(factors, level.trivial, weights, dist)
             dist[rows, rows] = 0
-            if slope is not None:
-                slope[rows] = best_slope
-                slope[rows, rows] = 0
         for comp in level.components:
-            if not _close_component(
-                factors, comp, ii, weights, dist, slope, diag, diag_slope
-            ):
+            if not _close_component(factors, comp, ii, weights, dist, diag):
                 return None
     np.fill_diagonal(dist, diag)
     dist.setflags(write=False)
-    if slope is not None:
-        np.fill_diagonal(slope, diag_slope)
-    return dist, slope
+    return dist
 
 
 def _exit_rows(
@@ -416,26 +355,14 @@ def _exit_rows(
     exits: _Exits,
     weights: np.ndarray,
     dist: np.ndarray,
-    slope: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> np.ndarray:
     """``max over e = (u, w) of W(e) + R[w]`` for every source ``u`` of
-    *exits* (lexicographic with *slope*), NO_PATH-saturated."""
+    *exits*, NO_PATH-saturated."""
     edges = exits.edges
-    heads = factors.dst[edges]
-    rows = dist[heads] + weights[edges, None]
+    rows = dist[factors.dst[edges]] + weights[edges, None]
     best = np.maximum.reduceat(rows, exits.starts, axis=0)
-    bad = best < _NO_PATH_CUTOFF
-    best[bad] = NO_PATH
-    if slope is None:
-        return best, None
-    ties = rows == np.repeat(best, exits.counts, axis=0)
-    best_slope = np.minimum.reduceat(
-        np.where(ties, slope[heads] + factors.delta[edges, None], _BIG),
-        exits.starts,
-        axis=0,
-    )
-    best_slope[bad] = 0
-    return best, best_slope
+    best[best < _NO_PATH_CUTOFF] = NO_PATH
+    return best
 
 
 def _close_component(
@@ -444,19 +371,13 @@ def _close_component(
     ii: int,
     weights: np.ndarray,
     dist: np.ndarray,
-    slope: np.ndarray | None,
     diag: np.ndarray,
-    diag_slope: np.ndarray,
 ) -> bool:
     """Fill the rows of one non-trivial SCC; ``False`` if it holds a
     positive cycle."""
     members = comp.members
-    block, block_slope = _floyd_warshall(
-        len(members),
-        comp.src,
-        comp.dst,
-        comp.lat - comp.delta * ii,
-        None if slope is None else comp.delta,
+    block = _floyd_warshall(
+        len(members), comp.src, comp.dst, comp.lat - comp.delta * ii
     )
     cycles = np.diag(block)
     if np.any(cycles > 0):
@@ -464,35 +385,14 @@ def _close_component(
     diag[members] = cycles
     np.fill_diagonal(block, 0)
     best = np.full((len(members), dist.shape[1]), NO_PATH, dtype=np.int64)
-    best_slope = None
-    if slope is not None:
-        diag_slope[members] = np.diag(block_slope)
-        np.fill_diagonal(block_slope, 0)
-        best_slope = np.zeros_like(best)
     if comp.exits.sources.size:
-        exit_rows, exit_slopes = _exit_rows(
-            factors, comp.exits, weights, dist, slope
-        )
+        exit_rows = _exit_rows(factors, comp.exits, weights, dist)
         for k, u in enumerate(comp.exits.sources):
-            cand = block[:, u, None] + exit_rows[k]
-            if slope is None:
-                np.maximum(best, cand, out=best)
-                continue
-            cand_slope = block_slope[:, u, None] + exit_slopes[k]
-            better = cand > best
-            better |= (cand == best) & (cand_slope < best_slope)
-            np.copyto(best, cand, where=better)
-            np.copyto(best_slope, cand_slope, where=better)
-        bad = best < _NO_PATH_CUTOFF
-        best[bad] = NO_PATH
-        if best_slope is not None:
-            best_slope[bad] = 0
+            np.maximum(best, block[:, u, None] + exit_rows[k], out=best)
+        best[best < _NO_PATH_CUTOFF] = NO_PATH
     # Inside C the block is the answer (exits never lead back into C).
     best[:, members] = block
     dist[members] = best
-    if slope is not None:
-        best_slope[:, members] = block_slope
-        slope[members] = best_slope
     return True
 
 
@@ -504,9 +404,9 @@ def warm_start() -> None:
     use this as their worker initializer, so the first *real* request
     does not pay the one-time costs: importing the scheduler stack,
     materialising the lazy registry and the machine-config catalog, and
-    the first NumPy ufunc dispatch of the condensation solve, plain and
-    with slopes (:func:`closure`: the probe loop has one recurrence and
-    a node on no cycle).  The probe runs in one throwaway
+    the first NumPy ufunc dispatch of the condensation solve
+    (:func:`closure`: the probe loop has one recurrence and a node on
+    no cycle).  The probe runs in one throwaway
     :class:`~repro.engine.session.SchedulingSession`, so no state
     outlives the call.
     """
@@ -529,4 +429,3 @@ def warm_start() -> None:
     session = SchedulingSession(graph, motivating_machine(1))
     session.mindist(1)
     session.cyclic_asap(2)
-    session.mindist(3)

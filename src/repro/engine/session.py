@@ -2,16 +2,17 @@
 
 A :class:`SchedulingSession` is the engine's unit of reuse: one object
 per (graph, machine) pair owning everything the II search derives from
-that pair — the MII analysis (computed once, shared), the sweeping
-MinDist state (:class:`~repro.engine.sweep.MinDistSweep`), and the
-per-attempt scratch structures (StartBounds, the modulo reservation
-table) that used to be rebuilt from scratch inside every attempt.
+that pair — the MII analysis (computed once, shared), the MinDist
+matrices (one :func:`~repro.engine.mindist.closure` per II, memoized),
+and the per-attempt scratch structures (StartBounds, the modulo
+reservation table) that used to be rebuilt from scratch inside every
+attempt.
 
 The split of responsibilities is deliberate:
 
 * **session-wide, lock-guarded** — the MII analysis and the MinDist
-  sweep.  Portfolio members race the same loop from several threads;
-  they share one analysis and one advancing matrix frontier.
+  memo.  Portfolio members race the same loop from several threads;
+  they share one analysis and one set of matrices.
 * **per-thread scratch** — StartBounds and MRT instances.  Both are
   mutated during an attempt, so concurrent searches must never share
   one; each thread keeps its latest and resets it in place when the
@@ -20,8 +21,8 @@ The split of responsibilities is deliberate:
 :class:`SessionCache` maps (graph fingerprint digest, machine wire
 form) onto live sessions with LRU eviction — the service executor keys
 every request through one, which is what turns a ``POST /v1/batch`` of
-same-graph requests into one shared MII analysis and one shared sweep
-across scheduler members and portfolio races.
+same-graph requests into one shared MII analysis and one shared
+MinDist memo across scheduler members and portfolio races.
 """
 
 from __future__ import annotations
@@ -33,18 +34,25 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.engine.mindist import fingerprint_digest
-from repro.engine.sweep import MinDistSweep
+from repro.engine.mindist import closure, factorise, fingerprint_digest
 from repro.engine.windows import StartBounds
 from repro.graph.ddg import DependenceGraph
 from repro.machine.machine import MachineModel
 from repro.machine.mrt import ModuloReservationTable
+from repro.obs import trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mii.analysis import MIIResult
 
 #: Live sessions the shared process-wide cache keeps.
 _DEFAULT_MAX_SESSIONS = 64
+
+#: MinDist matrices a session memoizes (HRMS's second directional pass
+#: and a lagging portfolio member re-hit recent IIs).
+_MINDIST_MEMO_ENTRIES = 8
+
+#: Memo-miss sentinel (``None`` is a valid memo value: infeasible II).
+_MISSING = object()
 
 
 class SchedulingSession:
@@ -55,17 +63,21 @@ class SchedulingSession:
         graph: DependenceGraph,
         machine: MachineModel,
         analysis: "MIIResult | None" = None,
-        *,
-        incremental: bool = True,
-        cross_check: bool = False,
     ) -> None:
         self.graph = graph
         self.machine = machine
         self._analysis = analysis
         self._analysis_lock = threading.Lock()
-        self._sweep = MinDistSweep(
-            graph, incremental=incremental, cross_check=cross_check
+        self._mindist_lock = threading.Lock()
+        #: The graph ``version`` the factors and the memo were built at.
+        self._version: int | None = None
+        self._factors = None
+        #: II -> (dist, names) | None, LRU oldest-first.
+        self._memo: "OrderedDict[int, tuple[np.ndarray, list[str]] | None]" = (
+            OrderedDict()
         )
+        self._fresh_solves = 0
+        self._memo_hits = 0
         self._digest: str | None = None
         self._names: list[str] | None = None
         self._op_index: dict[str, int] | None = None
@@ -124,9 +136,38 @@ class SchedulingSession:
         return self._neighbours
 
     # ------------------------------------------------------------------
-    def mindist(self, ii: int):
-        """MinDist at *ii* through the sweep (``None``: infeasible)."""
-        return self._sweep.solve(ii)
+    def mindist(self, ii: int) -> tuple[np.ndarray, list[str]] | None:
+        """MinDist at *ii* as ``(dist, names)``, read-only and shared, or
+        ``None`` if *ii* is infeasible.
+
+        One :func:`~repro.engine.mindist.closure` per II, memoized.  A
+        graph mutated since the last call (its O(1) ``version`` moved)
+        is factorised afresh and the memo dropped.
+        """
+        with self._mindist_lock:
+            if self.graph.version != self._version:
+                self._version = self.graph.version
+                self._factors = factorise(self.graph)
+                self._memo.clear()
+            cached = self._memo.get(ii, _MISSING)
+            if cached is not _MISSING:
+                self._memo_hits += 1
+                self._memo.move_to_end(ii)
+                return cached
+            self._fresh_solves += 1
+            factors = self._factors
+            if trace.ACTIVE is None:
+                dist = closure(factors, ii)
+            else:
+                with trace.span(
+                    "mindist.solve", ii=ii, ops=len(factors.names)
+                ):
+                    dist = closure(factors, ii)
+            result = None if dist is None else (dist, factors.names)
+            self._memo[ii] = result
+            if len(self._memo) > _MINDIST_MEMO_ENTRIES:
+                self._memo.popitem(last=False)
+            return result
 
     def cyclic_asap(self, ii: int) -> dict[str, int] | None:
         """Cyclic-ASAP row of the MinDist matrix (fresh dict per call)."""
@@ -171,8 +212,12 @@ class SchedulingSession:
         return mrt
 
     def sweep_stats(self) -> dict[str, int]:
-        """The sweep's solve counters (perf tier, QA assertions)."""
-        return self._sweep.stats()
+        """MinDist counters: ``fresh_solves`` (one ``closure`` each)
+        and ``memo_hits`` (perf tiers, QA assertions)."""
+        return {
+            "fresh_solves": self._fresh_solves,
+            "memo_hits": self._memo_hits,
+        }
 
 
 def _machine_key(machine: MachineModel) -> str:

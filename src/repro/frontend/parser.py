@@ -64,8 +64,9 @@ RELOPS = frozenset({"<", "<=", ">", ">=", "==", "/="})
 #: unary operators, call arguments, subscripts, ``not``), which bounds
 #: the parser's own recursion, and the depth of the tree it builds
 #: (a flat ``a + a + ...`` is one level per operator), which bounds the
-#: recursion of every later pass.  Deeper input raises a ParseError at
-#: the token that crossed the limit.
+#: recursion of every later pass.  Nested ``if`` statements are held to
+#: the same limit, counted apart from expressions.  Deeper input raises
+#: a ParseError at the token that crossed the limit.
 MAX_EXPR_DEPTH = 100
 
 
@@ -82,6 +83,7 @@ class _Parser:
         self._tokens = tokenize(source)
         self._index = 0
         self._nesting = 0
+        self._if_nesting = 0
 
     # ------------------------------------------------------------------
     # Cursor primitives
@@ -269,7 +271,13 @@ class _Parser:
         return Assign(target, value, token.location)
 
     def _parse_if(self) -> IfStmt:
-        location = self._expect_keyword("if").location
+        token = self._expect_keyword("if")
+        self._if_nesting += 1
+        if self._if_nesting > MAX_EXPR_DEPTH:
+            raise self._error(
+                f"if statements nested deeper than {MAX_EXPR_DEPTH} levels",
+                token,
+            )
         self._expect_kind(TokenKind.LPAREN)
         cond, _ = self._cond()
         self._expect_kind(TokenKind.RPAREN)
@@ -285,7 +293,8 @@ class _Parser:
         if self._current.is_keyword("if"):
             self._advance()
         self._end_statement()
-        return IfStmt(cond, tuple(then_body), tuple(else_body), location)
+        self._if_nesting -= 1
+        return IfStmt(cond, tuple(then_body), tuple(else_body), token.location)
 
     # ------------------------------------------------------------------
     # Conditions

@@ -35,7 +35,7 @@ class DependenceGraph:
         self._in: dict[str, list[Edge]] = {}
         self._edge_keys: set[tuple[str, str, int, str]] = set()
         #: Bumped by every mutation that changes the graph, so derived
-        #: state (the MinDist sweep) can tell it is stale in O(1).
+        #: state (the session's MinDist memo) can tell it is stale in O(1).
         self.version = 0
 
     # ------------------------------------------------------------------

@@ -244,7 +244,7 @@ def race_portfolio(
     ``make`` overrides scheduler construction (tests inject slow or
     canned members through it).  ``session`` shares one
     :class:`~repro.engine.session.SchedulingSession` — MII analysis and
-    the sweeping MinDist frontier — across every racing member; without
+    the memoized MinDist matrices — across every racing member; without
     one a race-private session is created, so members still share the
     analysis and matrices among themselves.
     """

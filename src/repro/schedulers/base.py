@@ -348,7 +348,7 @@ class ModuloScheduler(abc.ABC):
         """Produce a schedule, searching II upward from the MII.
 
         ``session`` shares per-(graph, machine) engine state — the MII
-        analysis, the sweeping MinDist frontier, per-attempt scratch —
+        analysis, the memoized MinDist matrices, per-attempt scratch —
         across searches (portfolio members, batch requests).  Without
         one a private session is created for this search.
         """
@@ -457,6 +457,6 @@ class ModuloScheduler(abc.ABC):
         """Try to schedule at a fixed *ii*; ``None`` signals failure.
 
         Per-II state (the MinDist matrix, StartBounds, the MRT) comes
-        from the session — attempts at consecutive IIs advance the
-        sweep incrementally instead of re-solving from scratch.
+        from the session, which solves each II's matrix once and
+        memoizes it.
         """

@@ -156,7 +156,7 @@ class SchedulingExecutor:
         #: Live scheduling sessions keyed by (graph digest, machine).
         #: Requests for the same loop × machine — batch members, racing
         #: portfolio schedulers, resubmits — share one MII analysis and
-        #: one sweeping MinDist frontier through here.
+        #: one MinDist memo through here.
         self.sessions = SessionCache()
         #: Guards the portfolio race: repeated member failures trip it
         #: open and portfolio requests degrade to DEGRADED_SCHEDULER.

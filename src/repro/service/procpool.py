@@ -144,7 +144,7 @@ def _init_worker(store_root: str, tracing: bool = False) -> None:
 
     Runs exactly once per worker process (the pool initializer).  The
     executor — and with it the scheduling-session cache (shared MII
-    analyses and MinDist sweeps), the study cache memo and the machine
+    analyses and MinDist matrices), the study cache memo and the machine
     catalog — lives for the whole worker lifetime, so repeated jobs
     over the same graphs hit warm per-process caches.  The engine and
     the machine catalog are warmed before the first job arrives.

@@ -1,7 +1,7 @@
 """Tests for the scheduling-engine performance layer.
 
 Covers the pure MinDist solve (NO_PATH saturation, read-only results,
-equal graphs giving equal matrices, II scaling), the sweep's handling
+equal graphs giving equal matrices, II scaling), the session's handling
 of a graph mutated between queries, the structural fingerprint, and the
 property that the vectorized EarlyStart/LateStart bounds match the
 seed's dict-loop formulation on random DDGs and random placement orders.
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.engine import (
     NO_PATH,
-    MinDistSweep,
     SchedulingSession,
     StartBounds,
     graph_fingerprint,
@@ -47,8 +46,10 @@ def recurrence_graph(latency=4, distance=1):
 
 
 def mindist(graph, ii):
-    """The pure MinDist solve at *ii*."""
-    return solve(factorise(graph), ii)
+    """The pure MinDist solve at *ii*: ``(dist, names)`` or ``None``."""
+    factors = factorise(graph)
+    dist = solve(factors, ii)
+    return None if dist is None else (dist, factors.names)
 
 
 class TestPureSolve:
@@ -108,13 +109,13 @@ class TestPureSolve:
             dist[0, 0] = 7
 
 
-class TestSweepContract:
+class TestSessionMindistContract:
     def test_infeasible_ii_result_is_memoized(self):
         g = recurrence_graph(latency=5, distance=1)  # RecMII = 6
-        sweep = MinDistSweep(g)
-        assert sweep.solve(5) is None
-        assert sweep.solve(5) is None
-        stats = sweep.stats()
+        session = SchedulingSession(g, motivating_machine())
+        assert session.mindist(5) is None
+        assert session.mindist(5) is None
+        stats = session.sweep_stats()
         assert stats["fresh_solves"] == 1 and stats["memo_hits"] == 1
 
     def test_mutation_invalidates_cache(self):
@@ -122,8 +123,8 @@ class TestSweepContract:
         b.op("a", latency=2).op("b", latency=1)
         b.edge("a", "b")
         g = b.build()
-        sweep = MinDistSweep(g)
-        before = sweep.solve(3)
+        session = SchedulingSession(g, motivating_machine())
+        before = session.mindist(3)
         assert before is not None
         assert before[0][0, 1] == 2
         assert before[0][1, 0] == NO_PATH
@@ -131,12 +132,12 @@ class TestSweepContract:
         from repro.graph.edges import Edge
 
         g.add_edge(Edge("b", "a", distance=1))
-        after = sweep.solve(3)
+        after = session.mindist(3)
         assert after is not None
         assert after[0][1, 0] == -2  # 1 - 1*3: the new recurrence edge
         assert after[0] is not before[0]
         # The new circuit also makes small IIs infeasible.
-        assert sweep.solve(1) is None
+        assert session.mindist(1) is None
 
     def test_cyclic_asap_returns_fresh_dict(self):
         session = SchedulingSession(chain_graph(), motivating_machine())
@@ -187,12 +188,12 @@ def test_start_bounds_match_dict_loops(seed, size):
     graph = random_ddg(rng, size, name=f"sb{seed}")
     ii = rng.randint(1, 40)
     factors = factorise(graph)
-    solved = solve(factors, ii)
-    if solved is None:
+    dist = solve(factors, ii)
+    if dist is None:
         ii = ii + 64  # large II is feasible for any generator output
-        solved = solve(factors, ii)
-        assert solved is not None
-    dist, names = solved
+        dist = solve(factors, ii)
+        assert dist is not None
+    names = factors.names
     index = {name: i for i, name in enumerate(names)}
 
     bounds = StartBounds(dist)
@@ -241,12 +242,12 @@ def test_start_bounds_encoding_across_ii_limit_and_components(seed, sizes):
     graph = islands_graph(rng, sizes)
     ii = rng.randint(1, 40)
     factors = factorise(graph)
-    solved = solve(factors, ii)
-    if solved is None:
+    dist = solve(factors, ii)
+    if dist is None:
         ii = ii + 64
-        solved = solve(factors, ii)
-        assert solved is not None
-    dist, names = solved
+        dist = solve(factors, ii)
+        assert dist is not None
+    names = factors.names
     assert (dist <= NO_PATH // 2).any()  # unreachable pairs exist
     index = {name: i for i, name in enumerate(names)}
     limit = default_ii_limit(graph, ii)
@@ -270,7 +271,7 @@ def test_start_bounds_encoding_across_ii_limit_and_components(seed, sizes):
 
 
 def test_start_bounds_reject_cycles_outside_exact_range():
-    dist, names = solve(factorise(chain_graph()), 1)
+    dist, names = mindist(chain_graph(), 1)
     a, b = names.index("a"), names.index("b")
     bounds = StartBounds(dist)
     for cycle in (CYCLE_LIMIT, -CYCLE_LIMIT, 10**12):

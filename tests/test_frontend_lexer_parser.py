@@ -301,3 +301,40 @@ class TestExpressionDepthLimit:
             parse_program(_loop_assigning("(" + nested + ")"))
         with pytest.raises(ParseError):
             parse_program(_loop_assigning(flat + " + x(i)"))
+
+
+def _nested_ifs(levels: int, expr: str = "1") -> str:
+    ifs = "".join(f"  if (x(i) > {k}) then\n" for k in range(levels))
+    ends = "  end if\n" * levels
+    return (
+        "real s\nreal x(5)\ndo i = 1, 5\n"
+        f"{ifs}    s = {expr}\n{ends}end do\n"
+    )
+
+
+class TestIfNestingLimit:
+    """Deeply nested ``if`` statements fail as a located ParseError at
+    the ``if`` that crosses :data:`MAX_EXPR_DEPTH`, not as a
+    RecursionError from the parser."""
+
+    def test_four_hundred_levels_raise_parse_error(self):
+        with pytest.raises(ParseError, match="nested deeper than") as info:
+            compile_source(_nested_ifs(400))
+        # Line 1-3 are declarations and the loop header; the first if
+        # past the limit sits on line 4 + MAX_EXPR_DEPTH.
+        assert f"line {4 + MAX_EXPR_DEPTH}:" in str(info.value)
+
+    def test_hundred_levels_compile(self):
+        compile_source(_nested_ifs(MAX_EXPR_DEPTH))
+
+    def test_limit_plus_one_is_rejected(self):
+        with pytest.raises(ParseError, match="nested deeper than"):
+            parse_program(_nested_ifs(MAX_EXPR_DEPTH + 1))
+
+    def test_deep_ifs_around_a_deep_expression_never_overflow(self):
+        deep = "(" * (MAX_EXPR_DEPTH - 2) + "x(i)" + ")" * (MAX_EXPR_DEPTH - 2)
+        # Either outcome is typed; a RecursionError would escape both.
+        try:
+            compile_source(_nested_ifs(MAX_EXPR_DEPTH, deep))
+        except ReproError:
+            pass

@@ -9,8 +9,10 @@ from repro.machine.configs import motivating_machine
 
 
 def mindist(graph, ii):
-    """The pure MinDist solve at *ii*."""
-    return solve(factorise(graph), ii)
+    """The pure MinDist solve at *ii*: ``(dist, names)`` or ``None``."""
+    factors = factorise(graph)
+    dist = solve(factors, ii)
+    return None if dist is None else (dist, factors.names)
 
 
 def cyclic_asap(graph, ii):

@@ -1,23 +1,17 @@
-"""The condensation solve against the Floyd–Warshall references.
+"""The condensation solve against the Floyd–Warshall reference.
 
 :func:`repro.engine.mindist.closure` must equal the whole-graph
 :func:`repro.engine.mindist.solve` element for element — and agree on
-which IIs are infeasible — and its ``slopes=True`` matrices must equal
-the whole-graph ``(max value, min slope)`` Floyd–Warshall below, which
-is the slope oracle the sweep used before the condensation solve.  The
-graphs cover every QA diversity profile, the bundled kernels under both
+which IIs are infeasible.  The graphs cover every QA diversity profile, the bundled kernels under both
 lowerings, and random graphs with several SCCs, parallel edges and
 self-loops; the IIs run from 1 (infeasible) to MII+5.
 """
-
-import random
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import MinDistSweep
 from repro.engine.mindist import (
     NO_PATH,
     _NO_PATH_CUTOFF,
@@ -39,74 +33,21 @@ PROFILES = {profile.name: profile for profile in fuzz_profiles()}
 MACHINE = perfect_club_machine()
 
 
-def slope_oracle(factors, ii):
-    """Whole-graph Floyd–Warshall over the lexicographic ``(max value,
-    min slope)`` semiring: ``(dist, slope)``, or ``None`` if *ii* is
-    infeasible.
-
-    The slope of a path is its distance sum; among value-maximising
-    paths the one with the minimum slope wins.
-    """
-    if factors.self_lat.size and np.any(
-        factors.self_lat - factors.self_delta * ii > 0
-    ):
-        return None
-    n = len(factors.names)
-    dist = np.full((n, n), NO_PATH, dtype=np.int64)
-    slope = np.zeros((n, n), dtype=np.int64)
-    if factors.src.size:
-        weights = factors.lat - factors.delta * ii
-        np.maximum.at(dist, (factors.src, factors.dst), weights)
-        big = np.iinfo(np.int64).max
-        seed = np.full((n, n), big, dtype=np.int64)
-        best = weights == dist[factors.src, factors.dst]
-        np.minimum.at(
-            seed,
-            (factors.src[best], factors.dst[best]),
-            factors.delta[best],
-        )
-        slope = np.where(seed == big, np.int64(0), seed)
-
-    for k in range(n):
-        via = dist[:, k, None] + dist[None, k, :]
-        via_s = slope[:, k, None] + slope[None, k, :]
-        better = via > dist
-        np.copyto(dist, via, where=better)
-        np.copyto(slope, via_s, where=better)
-        tie = (via == dist) & (via_s < slope) & (via > _NO_PATH_CUTOFF)
-        np.copyto(slope, via_s, where=tie)
-        bad = dist < _NO_PATH_CUTOFF
-        if bad.any():
-            dist[bad] = NO_PATH
-            slope[bad] = 0
-
-    if np.any(np.diag(dist) > 0):
-        return None
-    return dist, slope
-
-
 def assert_closure_matches(graph, iis):
-    """``closure`` (plain and with slopes) equals both references at
-    every II of *iis*; returns how many IIs were feasible."""
+    """``closure`` equals the reference at every II of *iis*; returns
+    how many IIs were feasible."""
     factors = factorise(graph)
     feasible = 0
     for ii in iis:
         reference = solve(factors, ii)
-        oracle = slope_oracle(factors, ii)
-        plain = closure(factors, ii)
-        with_slopes = closure(factors, ii, slopes=True)
-        assert (reference is None) == (oracle is None), (graph.name, ii)
+        dist = closure(factors, ii)
         if reference is None:
-            assert plain is None and with_slopes is None, (graph.name, ii)
+            assert dist is None, (graph.name, ii)
             continue
         feasible += 1
-        assert plain is not None and with_slopes is not None, (graph.name, ii)
-        dist, no_slopes = plain
-        assert no_slopes is None
+        assert dist is not None, (graph.name, ii)
         assert not dist.flags.writeable
-        assert np.array_equal(dist, reference[0]), (graph.name, ii)
-        assert np.array_equal(with_slopes[0], oracle[0]), (graph.name, ii)
-        assert np.array_equal(with_slopes[1], oracle[1]), (graph.name, ii)
+        assert np.array_equal(dist, reference), (graph.name, ii)
     return feasible
 
 
@@ -199,20 +140,20 @@ def test_no_edges():
         GraphBuilder("flat").op("a").op("b", latency=3).op("c").build()
     )
     assert assert_closure_matches(graph, range(1, 4)) == 3
-    dist, _ = closure(factorise(graph), 1)
+    dist = closure(factorise(graph), 1)
     assert np.all(dist == NO_PATH)
 
 
 def test_empty_graph():
     factors = factorise(DependenceGraph("empty"))
-    dist, slope = closure(factors, 1, slopes=True)
-    assert dist.shape == slope.shape == (0, 0)
+    assert closure(factors, 1).shape == (0, 0)
+    assert solve(factors, 1).shape == (0, 0)
 
 
 def test_one_op():
     graph = GraphBuilder("one").op("a", latency=2).build()
     assert assert_closure_matches(graph, range(1, 4)) == 3
-    dist, _ = closure(factorise(graph), 1)
+    dist = closure(factorise(graph), 1)
     assert dist.tolist() == [[NO_PATH]]
 
 
@@ -230,8 +171,8 @@ def test_self_loop_alone_decides_feasibility():
     assert assert_closure_matches(graph, range(1, 9)) == 4
     factors = factorise(graph)
     assert closure(factors, 4) is None
-    dist, slope = closure(factors, 5, slopes=True)
-    assert dist[0, 0] == NO_PATH and slope[0, 0] == 0
+    dist = closure(factors, 5)
+    assert dist[0, 0] == NO_PATH
     assert dist[0, 1] == 5
 
 
@@ -247,7 +188,7 @@ def test_one_scc_covering_the_whole_loop():
     factors = factorise(graph)
     assert len(set(factors.component.tolist())) == 1
     assert assert_closure_matches(graph, range(1, mii_of(graph) + 6)) == 6
-    dist, _ = closure(factors, mii_of(graph))
+    dist = closure(factors, mii_of(graph))
     assert np.all(dist > _NO_PATH_CUTOFF)  # every pair is on a cycle
 
 
@@ -261,31 +202,6 @@ def test_nodes_on_no_cycle_keep_a_no_path_diagonal():
         .op("d", deps=("c",))
         .build()
     )
-    dist, _ = closure(factorise(graph), 4)
+    dist = closure(factorise(graph), 4)
     assert dist[0, 0] == NO_PATH and dist[3, 3] == NO_PATH
     assert dist[1, 1] == dist[2, 2] == 2 - 4  # the b <-> c cycle
-
-
-# ----------------------------------------------------------------------
-# The sweep over closure-based fresh solves
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("profile_name", sorted(PROFILES))
-def test_cross_checked_sweep_walks_mii_to_mii_plus_8(profile_name):
-    rng = random.Random(f"closure-sweep-{profile_name}")
-    for _ in range(3):
-        graph = PROFILES[profile_name].build(
-            rng.randrange(10_000), prefix="closure-sweep"
-        )
-        mii = mii_of(graph)
-        factors = factorise(graph)
-        # cross_check=True compares every incremental advance with the
-        # whole-graph Floyd–Warshall and raises on any mismatch.
-        sweep = MinDistSweep(graph, cross_check=True)
-        for ii in range(mii, mii + 9):
-            swept = sweep.solve(ii)
-            reference = solve(factors, ii)
-            assert (swept is None) == (reference is None)
-            if swept is not None:
-                assert np.array_equal(swept[0], reference[0])
-        stats = sweep.stats()
-        assert stats["fresh_solves"] + stats["incremental_steps"] == 9

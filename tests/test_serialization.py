@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import GraphError
+from repro.frontend import compile_source, kernel_names, kernel_source
 from repro.graph.serialization import (
     dump_graph,
     dumps_graph,
@@ -11,6 +12,9 @@ from repro.graph.serialization import (
     load_graph,
     loads_graph,
 )
+from repro.machine.configs import perfect_club_machine
+from repro.schedule.maxlive import max_live
+from repro.schedulers.registry import make_scheduler
 from repro.workloads.govindarajan import govindarajan_suite
 from repro.workloads.motivating import motivating_example
 
@@ -52,3 +56,27 @@ class TestRoundTrip:
         data["format"] = 99
         with pytest.raises(GraphError):
             graph_from_dict(data)
+
+
+@pytest.mark.parametrize("kernel", kernel_names())
+def test_compiled_kernel_round_trips(kernel):
+    """Compiled kernels carry memory and control edges, loop-carried
+    distances and stores: all of it survives the dict format, and the
+    rebuilt graph schedules to the same II and MaxLive."""
+    graph = compile_source(kernel_source(kernel), name=kernel).graph
+    clone = graph_from_dict(graph_to_dict(graph))
+    assert clone.node_names() == graph.node_names()
+    assert sorted(e.key for e in clone.edges()) == sorted(
+        e.key for e in graph.edges()
+    )
+    for name in graph.node_names():
+        original, copy = graph.operation(name), clone.operation(name)
+        assert copy.latency == original.latency
+        assert copy.opclass == original.opclass
+        assert copy.produces_value == original.produces_value
+    machine = perfect_club_machine()
+    hrms = make_scheduler("hrms")
+    original_schedule = hrms.schedule(graph, machine)
+    clone_schedule = hrms.schedule(clone, machine)
+    assert clone_schedule.ii == original_schedule.ii
+    assert max_live(clone_schedule) == max_live(original_schedule)

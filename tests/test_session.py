@@ -1,11 +1,11 @@
-"""Tests for the II-sweep engine core.
+"""Tests for the scheduling session.
 
-Covers :class:`MinDistSweep` (the incremental advance is element-wise
-identical to a fresh Floyd–Warshall across the driver's full II range,
-on graphs from every QA diversity profile; the fresh-solve fallback
-fires on the infeasible-II path and on stale slopes) and
-:class:`SchedulingSession` / :class:`SessionCache` (shared analysis,
-per-thread scratch reuse, LRU identity, executor integration).
+Covers :meth:`SchedulingSession.mindist` (element-wise identical to a
+whole-graph Floyd–Warshall across the driver's full II range, on graphs
+from every QA diversity profile; memoized, infeasible IIs included;
+reset by the O(1) mutation guard) and :class:`SchedulingSession` /
+:class:`SessionCache` (shared analysis, per-thread scratch reuse, LRU
+identity, executor integration).
 """
 
 import random
@@ -16,14 +16,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import (
-    MinDistSweep,
     SchedulingSession,
     SessionCache,
     session_for,
     shared_session_cache,
 )
 from repro.engine.mindist import factorise, solve
-from repro.engine.sweep import SweepCrossCheckError
 from repro.graph.builder import GraphBuilder
 from repro.machine.configs import perfect_club_machine
 from repro.mii.analysis import compute_mii
@@ -42,11 +40,18 @@ def recurrence_graph(latency=4, distance=1):
 
 
 def fresh_solve(graph, ii):
-    """An independent fresh Floyd–Warshall at *ii* (no sweep state)."""
-    return solve(factorise(graph), ii)
+    """An independent whole-graph Floyd–Warshall at *ii* (no session
+    state): ``(dist, names)`` or ``None``."""
+    factors = factorise(graph)
+    dist = solve(factors, ii)
+    return None if dist is None else (dist, factors.names)
 
 
-class TestSweepMatchesFreshSolves:
+def session_of(graph):
+    return SchedulingSession(graph, perfect_club_machine())
+
+
+class TestMindistMatchesFloydWarshall:
     @pytest.mark.parametrize("profile_name", sorted(PROFILES))
     @settings(
         max_examples=4,
@@ -54,9 +59,7 @@ class TestSweepMatchesFreshSolves:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_incremental_equals_fresh_over_full_range(
-        self, profile_name, seed
-    ):
+    def test_mindist_equals_solve_over_full_range(self, profile_name, seed):
         graph = PROFILES[profile_name].build(seed, prefix="sweeptest")
         machine = perfect_club_machine()
         try:
@@ -64,188 +67,192 @@ class TestSweepMatchesFreshSolves:
         except Exception:
             return  # circuit-limit blowup: not this test's concern
         limit = default_ii_limit(graph, analysis.mii)
-        # cross_check=True re-solves after every incremental advance and
-        # raises on any element-wise mismatch; the explicit comparison
-        # below additionally covers the fresh / memoized paths.
-        sweep = MinDistSweep(graph, cross_check=True)
+        session = SchedulingSession(graph, machine, analysis)
         for ii in range(max(1, analysis.mii - 1), limit + 1):
-            swept = sweep.solve(ii)
+            solved = session.mindist(ii)
             fresh = fresh_solve(graph, ii)
             if fresh is None:
-                assert swept is None
+                assert solved is None
                 continue
-            assert swept is not None
-            assert np.array_equal(swept[0], fresh[0])
-            assert swept[1] == fresh[1]
-
-    def test_long_sweep_is_mostly_incremental(self):
-        graph = random_ddg(random.Random(7), 24, name="sweep24")
-        start = compute_mii(graph, perfect_club_machine()).mii
-        sweep = MinDistSweep(graph)
-        for ii in range(start, start + 20):
-            assert sweep.solve(ii) is not None
-        stats = sweep.stats()
-        # Base solve + one slope-augmented solve per (re)base; the rest
-        # of the ladder must ride the O(n²) advance.
-        assert stats["incremental_steps"] >= 15
-        assert stats["fresh_solves"] <= 5
+            assert solved is not None
+            assert not solved[0].flags.writeable
+            assert np.array_equal(solved[0], fresh[0])
+            assert solved[1] == fresh[1]
 
 
-class TestSweepFallback:
-    def test_infeasible_ii_is_fresh_and_leaves_state_clean(self):
+class TestInfeasibleIIs:
+    def test_infeasible_ii_leaves_later_solves_exact(self):
         # The x→y→x cycle carries 5 cycles of latency over distance 1:
         # RecMII is 5, so II=4 has no matrix.
         graph = recurrence_graph(latency=4, distance=1)
-        sweep = MinDistSweep(graph)
-        assert sweep.solve(4) is None
-        stats = sweep.stats()
-        assert stats["fresh_solves"] == 1
-        assert stats["incremental_steps"] == 0
-        # The infeasible solve must not have adopted a sweep base: the
-        # next feasible request is a fresh solve, not an advance from
-        # a non-existent matrix — and it must be exact.
-        solved = sweep.solve(5)
+        session = session_of(graph)
+        assert session.mindist(4) is None
+        assert session.sweep_stats()["fresh_solves"] == 1
+        solved = session.mindist(5)
         assert solved is not None
         assert np.array_equal(solved[0], fresh_solve(graph, 5)[0])
-        assert sweep.stats()["incremental_steps"] == 0
 
-    def test_infeasible_self_edge_short_circuits(self):
+    def test_infeasible_self_edge(self):
         b = GraphBuilder("selfie")
         b.op("x", latency=5)
         b.edge("x", "x", distance=1)
         graph = b.build()
-        sweep = MinDistSweep(graph)
-        # II=4 violates the self-dependence (5 - 4*1 > 0): rejected
-        # before any solving happens at all.
-        assert sweep.solve(4) is None
-        assert sweep.stats()["fresh_solves"] == 0
-        assert sweep.solve(5) is not None
-
-    def test_stale_slope_triggers_fallback_not_wrong_answer(self):
-        graph = random_ddg(random.Random(3), 20, name="fallback20")
-        start = compute_mii(graph, perfect_club_machine()).mii
-        sweep = MinDistSweep(graph)
-        sweep.solve(start)
-        sweep.solve(start + 1)  # slope-augmented rebase
-        assert sweep._slope is not None
-        # Corrupt the slopes: the shifted candidate goes stale, the
-        # verification pass must catch it and fall back to a fresh
-        # solve instead of returning a wrong matrix.
-        sweep._slope = sweep._slope + 1
-        solved = sweep.solve(start + 2)
-        assert solved is not None
-        assert np.array_equal(solved[0], fresh_solve(graph, start + 2)[0])
-        assert sweep.stats()["fallbacks"] == 1
-        # The fallback re-based with healthy slopes: the sweep advances
-        # incrementally again.
-        before = sweep.stats()["incremental_steps"]
-        assert sweep.solve(start + 3) is not None
-        assert sweep.stats()["incremental_steps"] == before + 1
-
-    def test_cross_check_raises_on_forced_divergence(self):
-        graph = random_ddg(random.Random(5), 16, name="diverge16")
-        start = compute_mii(graph, perfect_club_machine()).mii
-        sweep = MinDistSweep(graph, cross_check=True)
-        sweep.solve(start)
-        sweep.solve(start + 1)
-        # Under-report a slope so the shifted candidate *over*-estimates
-        # one entry: single-edge/relaxation checks cannot catch an
-        # overestimate on a diagonal-adjacent entry in general, but the
-        # cross-check must.  If verification rejects it first we get the
-        # (correct) fallback instead — either way, never a wrong matrix.
-        sweep._slope = sweep._slope - 1
-        try:
-            solved = sweep.solve(start + 2)
-        except SweepCrossCheckError:
-            return
-        assert solved is not None
-        assert np.array_equal(solved[0], fresh_solve(graph, start + 2)[0])
+        session = session_of(graph)
+        # II=4 violates the self-dependence (5 - 4*1 > 0).
+        assert session.mindist(4) is None
+        assert session.mindist(4) is None
+        assert session.sweep_stats() == {"fresh_solves": 1, "memo_hits": 1}
+        assert session.mindist(5) is not None
 
 
-class TestSweepMemoAndMutation:
+class TestMemoAndMutation:
     def test_memo_absorbs_repeat_queries(self):
         graph = recurrence_graph()
-        sweep = MinDistSweep(graph)
-        first = sweep.solve(5)
-        again = sweep.solve(5)
+        session = session_of(graph)
+        first = session.mindist(5)
+        again = session.mindist(5)
         assert first[0] is again[0]
-        assert sweep.stats()["memo_hits"] == 1
+        assert session.sweep_stats() == {"fresh_solves": 1, "memo_hits": 1}
 
-    def test_graph_mutation_resets_the_sweep(self):
+    def test_memo_is_a_small_lru(self):
+        graph = recurrence_graph()
+        session = session_of(graph)
+        first = session.mindist(5)
+        for ii in range(6, 14):  # eight newer IIs evict II=5
+            session.mindist(ii)
+        assert session.mindist(5)[0] is not first[0]
+        assert session.sweep_stats()["fresh_solves"] == 10
+
+    def test_graph_mutation_resets_the_memo(self):
         from repro.graph.edges import Edge
 
         graph = recurrence_graph()
-        sweep = MinDistSweep(graph)
-        sweep.solve(5)
-        sweep.solve(6)
+        session = session_of(graph)
+        session.mindist(5)
+        session.mindist(6)
         graph.add_edge(Edge("x", "y", distance=2))
-        solved = sweep.solve(6)
+        solved = session.mindist(6)
         assert np.array_equal(solved[0], fresh_solve(graph, 6)[0])
+
+
+class TestConcurrentMindist:
+    def test_racing_threads_share_one_solve_per_ii(self):
+        import sys
+        import threading
+
+        graph = random_ddg(random.Random(4), 30, name="race30")
+        mii = SchedulingSession(graph, perfect_club_machine()).analysis.mii
+        iis = list(range(mii, mii + 8))  # fits the memo: no eviction
+        threads_per_round = 8
+
+        def race(session):
+            start = threading.Barrier(threads_per_round)
+            results: list = []
+            errors: list = []
+
+            def worker(offset):
+                try:
+                    start.wait(timeout=30)
+                    for k in range(len(iis)):
+                        ii = iis[(offset + k) % len(iis)]
+                        results.append((ii, session.mindist(ii)))
+                except Exception as exc:  # surfaced by the asserts below
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=worker, args=(t,))
+                for t in range(threads_per_round)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            return results
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                session = session_of(graph)
+                results = race(session)
+                stats = session.sweep_stats()
+                # A check-then-act race would solve some II twice.
+                assert stats["fresh_solves"] == len(iis)
+                assert stats["memo_hits"] == len(results) - len(iis)
+                first = {}
+                for ii, solved in results:
+                    assert solved is first.setdefault(ii, solved)
+        finally:
+            sys.setswitchinterval(previous)
+        for ii, solved in first.items():
+            assert np.array_equal(solved[0], fresh_solve(graph, ii)[0])
 
 
 class TestMutationGuard:
     """``DependenceGraph.version`` moves on every real mutation, and the
-    sweep resets on it instead of re-fingerprinting the graph."""
+    session re-factorises on it instead of re-fingerprinting the graph."""
 
     @staticmethod
-    def warmed_sweep(graph):
-        sweep = MinDistSweep(graph)
-        sweep.solve(5)
-        sweep.solve(6)  # slope rebase: every derived state is populated
-        return sweep
+    def warmed_session(graph):
+        session = session_of(graph)
+        session.mindist(5)
+        session.mindist(6)
+        return session
 
     @staticmethod
-    def assert_fresh(sweep, graph, iis=(5, 6, 7)):
+    def assert_fresh(session, graph, iis=(5, 6, 7)):
         for ii in iis:
-            solved, fresh = sweep.solve(ii), fresh_solve(graph, ii)
+            solved, fresh = session.mindist(ii), fresh_solve(graph, ii)
             assert (solved is None) == (fresh is None)
             if fresh is not None:
                 assert np.array_equal(solved[0], fresh[0])
                 assert solved[1] == fresh[1]
 
-    def test_add_operation_resets_the_sweep(self):
+    def test_add_operation_resets_the_memo(self):
         from repro.graph.edges import Edge
         from repro.graph.ops import Operation
 
         graph = recurrence_graph()
-        sweep = self.warmed_sweep(graph)
+        session = self.warmed_session(graph)
         graph.add_operation(Operation("z", latency=3))
-        self.assert_fresh(sweep, graph)
-        assert sweep.solve(5)[0].shape == (3, 3)
+        self.assert_fresh(session, graph)
+        assert session.mindist(5)[0].shape == (3, 3)
         graph.add_edge(Edge("y", "z"))
-        self.assert_fresh(sweep, graph)
+        self.assert_fresh(session, graph)
 
-    def test_add_edge_resets_the_sweep(self):
+    def test_add_edge_resets_the_memo(self):
         from repro.graph.edges import DependenceKind, Edge
 
         graph = recurrence_graph()
-        sweep = self.warmed_sweep(graph)
+        session = self.warmed_session(graph)
         graph.add_edge(
             Edge("y", "x", distance=2, kind=DependenceKind.MEMORY)
         )
         graph.add_edge(Edge("x", "x", distance=1))  # self-loop: 4 - ii
-        self.assert_fresh(sweep, graph, iis=(3, 5, 6, 7))
+        self.assert_fresh(session, graph, iis=(3, 5, 6, 7))
 
-    def test_remove_edge_resets_the_sweep(self):
+    def test_remove_edge_resets_the_memo(self):
         graph = recurrence_graph()
-        sweep = self.warmed_sweep(graph)
+        session = self.warmed_session(graph)
         (back,) = [e for e in graph.edges() if e.distance == 1]
         graph.remove_edge(back)
-        self.assert_fresh(sweep, graph, iis=(1, 5, 6))
-        assert sweep.solve(1) is not None  # the recurrence is gone
+        self.assert_fresh(session, graph, iis=(1, 5, 6))
+        assert session.mindist(1) is not None  # the recurrence is gone
 
-    def test_remove_operation_resets_the_sweep(self):
+    def test_remove_operation_resets_the_memo(self):
         from repro.graph.ops import Operation
 
         graph = recurrence_graph()
         graph.add_operation(Operation("lone"))  # no edges to remove
-        sweep = self.warmed_sweep(graph)
+        session = self.warmed_session(graph)
         graph.remove_operation("lone")
-        self.assert_fresh(sweep, graph)
-        assert sweep.solve(5)[0].shape == (2, 2)
+        self.assert_fresh(session, graph)
+        assert session.mindist(5)[0].shape == (2, 2)
         graph.remove_operation("y")
-        self.assert_fresh(sweep, graph)
-        assert sweep.solve(5)[1] == ["x"]
+        self.assert_fresh(session, graph)
+        assert session.mindist(5)[1] == ["x"]
 
     def test_only_real_mutations_move_the_version(self):
         from repro.graph.edges import Edge
@@ -256,24 +263,24 @@ class TestMutationGuard:
         graph.add_edge(Edge(edge.src, edge.dst))  # duplicate: ignored
         graph.remove_edge(Edge("y", "x", distance=7))  # absent
         assert graph.version == version
-        sweep = self.warmed_sweep(graph)
-        before = sweep.stats()
-        assert sweep.solve(5) is not None
-        assert sweep.stats()["memo_hits"] == before["memo_hits"] + 1
+        session = self.warmed_session(graph)
+        before = session.sweep_stats()
+        assert session.mindist(5) is not None
+        assert session.sweep_stats()["memo_hits"] == before["memo_hits"] + 1
 
     def test_copy_has_an_independent_version(self):
         from repro.graph.edges import Edge
 
         graph = recurrence_graph()
         clone = graph.copy()
-        sweep = self.warmed_sweep(graph)
+        session = self.warmed_session(graph)
         version = graph.version
         clone.add_edge(Edge("x", "y", distance=3))
         clone.remove_operation("y")
         assert graph.version == version
-        hits = sweep.stats()["memo_hits"]
-        sweep.solve(6)
-        assert sweep.stats()["memo_hits"] == hits + 1  # no reset
+        hits = session.sweep_stats()["memo_hits"]
+        session.mindist(6)
+        assert session.sweep_stats()["memo_hits"] == hits + 1  # no reset
         clone_version = clone.version
         graph.add_edge(Edge("x", "y", distance=3))
         assert graph.version == version + 1
@@ -328,12 +335,10 @@ class TestSchedulingSession:
         assert first == second and first is not second
 
 
-class TestSweepTracing:
+class TestMindistTracing:
     def test_fresh_solves_emit_mindist_spans_under_search(self):
-        """Every fresh solve of the sweep — plain and
-        slope-augmented — is one ``mindist.solve`` span under
-        ``scheduler.search``; incremental advances and memo hits are
-        not."""
+        """Every fresh solve of the session is one ``mindist.solve``
+        span under ``scheduler.search``; memo hits are not."""
         from repro.core.scheduler import HRMSScheduler
         from repro.obs import trace
 
@@ -355,9 +360,8 @@ class TestSweepTracing:
         (search,) = [s for s in spans if s["name"] == "scheduler.search"]
         solves = [s for s in spans if s["name"] == "mindist.solve"]
         assert len(solves) == session.sweep_stats()["fresh_solves"]
-        assert session.sweep_stats()["incremental_steps"] > 0
+        assert len(solves) >= schedule.stats.attempts
         assert all(s["parent_id"] == search["span_id"] for s in solves)
-        assert {s["attrs"]["slopes"] for s in solves} == {False, True}
         assert all(s["attrs"]["ops"] == len(graph) for s in solves)
         assert all(s["attrs"]["ii"] >= schedule.stats.mii for s in solves)
 

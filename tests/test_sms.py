@@ -13,7 +13,8 @@ from repro.workloads.motivating import motivating_example
 
 def order_at(graph, mii):
     """The swing order over the pure MinDist solve at ``max(mii, 1)``."""
-    return swing_order(graph, solve(factorise(graph), max(mii, 1)))
+    factors = factorise(graph)
+    return swing_order(graph, (solve(factors, max(mii, 1)), factors.names))
 
 
 class TestSwingOrder:
