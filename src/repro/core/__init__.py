@@ -7,7 +7,11 @@ The algorithm splits scheduling into two phases (Section 3):
    :func:`repro.core.ordering.hrms_order`) that emits the operations in an
    order guaranteeing each one — except recurrence closers — sees only
    previously-scheduled predecessors *or* only previously-scheduled
-   successors.
+   successors.  It runs on one working-graph type,
+   :class:`~repro.core.hypernode.HypernodeGraph`: the backward-edge-free
+   component graph, reduced in place, with
+   :meth:`~repro.core.hypernode.HypernodeGraph.induced` copies for the
+   batches it sorts.
 2. A **scheduling** phase (:mod:`repro.core.scheduler`) that places each
    operation as soon as possible when its scheduled neighbours are
    predecessors and as late as possible when they are successors, on a

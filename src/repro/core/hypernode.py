@@ -1,14 +1,18 @@
-"""The mutable working graph used by the pre-ordering phase.
+"""The one working graph of the pre-ordering phase.
 
 :class:`HypernodeGraph` is a light adjacency-set view over a
 :class:`~repro.graph.ddg.DependenceGraph`.  It supports the one rewriting
 operation the paper's Figure 6 defines — **hypernode reduction** — plus the
 virtual edges Section 3.2 needs to connect otherwise-unreachable recurrence
-subgraphs.
+subgraphs, and :meth:`~HypernodeGraph.induced`, the detached copy every
+batch is sorted and ordered on.
 
 Edge distances and kinds are irrelevant here: ordering happens on the
 backward-edge-free (acyclic) graph, and the topological sorts only need
-adjacency plus node latencies (read through to the base graph).
+adjacency plus node latencies (read through to the base graph).  The
+backward edges are removed per *hop*: a ``(src, dst)`` pair that carries
+a dropped backward key loses every parallel edge, since any of them
+would close the recurrence again.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ class HypernodeGraph:
     nodes:
         Subset of base nodes this working graph covers.
     dropped_edge_keys:
-        Keys of edges to omit (the recurrence backward edges).
+        Keys of the recurrence backward edges; every edge on one of their
+        ``(src, dst)`` hops is omitted.
     """
 
     def __init__(
@@ -40,20 +45,20 @@ class HypernodeGraph:
         dropped_edge_keys: set[tuple[str, str, int, str]] | None = None,
     ) -> None:
         self._base = base
-        keep = set(base.node_names() if nodes is None else nodes)
-        self._position = {
-            name: i for i, name in enumerate(base.node_names())
-        }
+        names = base.node_names()
+        keep = set(names if nodes is None else nodes)
+        self._position = {name: i for i, name in enumerate(names)}
         self._nodes: set[str] = keep
-        dropped = dropped_edge_keys or set()
+        dropped = {(src, dst) for src, dst, _, _ in dropped_edge_keys or ()}
         self._succ: dict[str, set[str]] = {name: set() for name in keep}
         self._pred: dict[str, set[str]] = {name: set() for name in keep}
-        for edge in base.edges():
-            if edge.key in dropped:
+        for src in names:
+            if src not in keep:
                 continue
-            if edge.src in keep and edge.dst in keep and edge.src != edge.dst:
-                self._succ[edge.src].add(edge.dst)
-                self._pred[edge.dst].add(edge.src)
+            for dst in base.successors(src):
+                if dst in keep and dst != src and (src, dst) not in dropped:
+                    self._succ[src].add(dst)
+                    self._pred[dst].add(src)
 
     # ------------------------------------------------------------------
     # Graph protocol (shared with DependenceGraph)
@@ -106,27 +111,37 @@ class HypernodeGraph:
         self._succ[src].add(dst)
         self._pred[dst].add(src)
 
-    def subview(self, names: Iterable[str]) -> "_SubView":
-        """Read-only induced subgraph over *names* (for topological sorts)."""
+    def induced(self, names: Iterable[str]) -> "HypernodeGraph":
+        """A detached working graph over *names*.
+
+        The copy keeps the *current* adjacency among *names* — virtual
+        edges and earlier reductions included — and shares the base graph
+        and the position table, so later mutations of either graph never
+        reach the other.
+        """
         keep = set(names)
         for name in keep:
             self._check(name)
-        return _SubView(self, keep)
+        copy = object.__new__(HypernodeGraph)
+        copy._base = self._base
+        copy._position = self._position
+        copy._nodes = keep
+        copy._succ = {name: self._succ[name] & keep for name in keep}
+        copy._pred = {name: self._pred[name] & keep for name in keep}
+        return copy
 
-    def reduce(self, names: Iterable[str], hypernode: str) -> "_SubView":
+    def reduce(self, names: Iterable[str], hypernode: str) -> "HypernodeGraph":
         """Figure 6: reduce *names* into *hypernode*.
 
-        Returns the induced subgraph over *names* (captured before
-        deletion) so the caller can topologically sort the batch.  In the
-        working graph, edges among ``names + {hypernode}`` disappear and
-        edges crossing the boundary are re-attached to the hypernode.
+        Returns :meth:`induced` over *names* (taken before deletion) so
+        the caller can topologically sort the batch.  In the working
+        graph, edges among ``names + {hypernode}`` disappear and edges
+        crossing the boundary are re-attached to the hypernode.
         """
         self._check(hypernode)
         batch = set(names)
         batch.discard(hypernode)
-        for name in batch:
-            self._check(name)
-        captured = _SubView(self, set(batch))
+        captured = self.induced(batch)
 
         merged = batch | {hypernode}
         for name in batch:
@@ -148,42 +163,3 @@ class HypernodeGraph:
         self._pred[hypernode].discard(hypernode)
         return captured
 
-
-class _SubView:
-    """Frozen induced subgraph of a :class:`HypernodeGraph`.
-
-    Implements the traversal protocol so ASAP/ALAP/PALA sorts apply
-    directly.  Adjacency is copied at construction time, so later
-    reductions of the parent do not disturb it.
-    """
-
-    def __init__(self, parent: HypernodeGraph, keep: set[str]) -> None:
-        self._position = parent._position
-        self._nodes = set(keep)
-        self._succ = {
-            name: {s for s in parent._succ[name] if s in keep}
-            for name in keep
-        }
-        self._pred = {
-            name: {p for p in parent._pred[name] if p in keep}
-            for name in keep
-        }
-        self._base = parent._base
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._nodes
-
-    def node_names(self) -> list[str]:
-        return sorted(self._nodes, key=self._position.__getitem__)
-
-    def predecessors(self, name: str) -> list[str]:
-        return sorted(self._pred[name], key=self._position.__getitem__)
-
-    def successors(self, name: str) -> list[str]:
-        return sorted(self._succ[name], key=self._position.__getitem__)
-
-    def operation(self, name: str) -> Operation:
-        return self._base.operation(name)

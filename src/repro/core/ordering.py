@@ -16,10 +16,12 @@ The resulting order has two properties the scheduler relies on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.hypernode import HypernodeGraph
-from repro.core.recurrence_order import order_recurrences, order_with_hypernode
+from repro.core.preorder import pre_ordering
+from repro.core.recurrence_order import order_recurrences
+from repro.errors import UnknownOperationError
 from repro.graph.components import connected_components
 from repro.graph.ddg import DependenceGraph
 from repro.mii.analysis import MIIResult, compute_mii
@@ -32,8 +34,6 @@ class OrderingResult:
 
     order: list[str]
     mii: MIIResult
-    #: Per-component orders, for diagnostics and tests.
-    component_orders: list[list[str]] = field(default_factory=list)
 
 
 def hrms_order(
@@ -46,9 +46,13 @@ def hrms_order(
 
     ``mii_result`` may be passed to reuse a previous analysis; otherwise
     ``machine`` is required to compute one.  ``initial_hypernode`` overrides
-    the default starting node (the paper's footnote 1 observes the choice
-    barely matters; the ablation experiment exercises this knob).
+    the default starting node of its component when that component has no
+    recurrence (the paper's footnote 1 observes the choice barely matters;
+    the ablation experiment exercises this knob).  It must name an
+    operation of *graph*, else :class:`UnknownOperationError` is raised.
     """
+    if initial_hypernode is not None and initial_hypernode not in graph:
+        raise UnknownOperationError(initial_hypernode)
     if mii_result is None:
         if machine is None:
             raise ValueError("need either mii_result or machine")
@@ -56,43 +60,34 @@ def hrms_order(
 
     dropped = all_backward_edge_keys(mii_result.subgraphs)
     components = connected_components(graph)
-    position = {name: i for i, name in enumerate(graph.node_names())}
+    # A recurrence is strongly connected, so it lies inside one component.
+    component_of = {
+        name: index
+        for index, members in enumerate(components)
+        for name in members
+    }
+    subgraphs: list[list[RecurrenceSubgraph]] = [[] for _ in components]
+    recmii = [0] * len(components)
+    for subgraph in mii_result.subgraphs:
+        index = component_of[subgraph.nodes[0]]
+        subgraphs[index].append(subgraph)
+        if not subgraph.is_trivial:
+            recmii[index] = max(recmii[index], subgraph.recmii)
 
-    # Priority: most restrictive recurrence first, then program order.
-    def component_priority(members: list[str]) -> tuple[int, int]:
-        member_set = set(members)
-        recmii = max(
-            (
-                s.recmii
-                for s in mii_result.subgraphs
-                if not s.is_trivial and set(s.nodes) <= member_set
-            ),
-            default=0,
-        )
-        return (-recmii, position[members[0]])
-
-    ordered_components = sorted(components, key=component_priority)
-
+    # Priority: most restrictive recurrence first, then program order
+    # (components come in order of their earliest member).
     full_order: list[str] = []
-    component_orders: list[list[str]] = []
-    for members in ordered_components:
-        member_set = set(members)
-        subgraphs = [
-            s
-            for s in mii_result.subgraphs
-            if set(s.nodes) <= member_set
-        ]
-        order = _order_component(
-            graph, members, subgraphs, dropped, initial_hypernode
+    for index in sorted(range(len(components)), key=lambda i: -recmii[i]):
+        full_order.extend(
+            _order_component(
+                graph,
+                components[index],
+                subgraphs[index],
+                dropped,
+                initial_hypernode,
+            )
         )
-        component_orders.append(order)
-        full_order.extend(order)
-
-    return OrderingResult(
-        order=full_order,
-        mii=mii_result,
-        component_orders=component_orders,
-    )
+    return OrderingResult(order=full_order, mii=mii_result)
 
 
 def _order_component(
@@ -116,5 +111,4 @@ def _order_component(
             hypernode = hgraph.first_node
         ordered.append(hypernode)
 
-    order_with_hypernode(hgraph, ordered, hypernode)
-    return ordered
+    return pre_ordering(hgraph, ordered, hypernode)

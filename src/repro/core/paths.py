@@ -9,20 +9,26 @@ is exactly::
 
 — a node ``x`` is on some path ``u -> ... -> x -> ... -> v`` with
 ``u, v ∈ V'`` iff it is reachable from a seed and reaches a seed.  Seeds
-are trivially included (length-0 paths).  Two linear passes give the
+are trivially included (length-0 paths).  Two linear passes of
+:func:`~repro.graph.traversal.forward_reachable` and
+:func:`~repro.graph.traversal.backward_reachable` give the
 ``O(|V| + |E|)`` bound the paper quotes.
 
 The hypernode itself must never act as an *intermediate* node: after a few
 reductions it is adjacent to most of the graph and would smuggle unrelated
 nodes into the batch.  Callers therefore pass ``exclude`` (the hypernode)
-whenever it is not itself a seed.
+whenever it is not itself a seed; both passes treat it as ``blocked``.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from repro.graph.traversal import GraphLike
+from repro.graph.traversal import (
+    GraphLike,
+    backward_reachable,
+    forward_reachable,
+)
 
 
 def search_all_paths(
@@ -38,26 +44,6 @@ def search_all_paths(
     """
     seed_set = set(seeds)
     blocked = set(exclude) - seed_set
-
-    forward = _reach(graph, seed_set, blocked, forward=True)
-    backward = _reach(graph, seed_set, blocked, forward=False)
-    return forward & backward
-
-
-def _reach(
-    graph: GraphLike,
-    seeds: set[str],
-    blocked: set[str],
-    forward: bool,
-) -> set[str]:
-    step = graph.successors if forward else graph.predecessors
-    seen = set(seeds)
-    stack = list(seeds)
-    while stack:
-        node = stack.pop()
-        for nxt in step(node):
-            if nxt in seen or nxt in blocked:
-                continue
-            seen.add(nxt)
-            stack.append(nxt)
-    return seen
+    return forward_reachable(graph, seed_set, blocked) & backward_reachable(
+        graph, seed_set, blocked
+    )

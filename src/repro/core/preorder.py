@@ -12,6 +12,12 @@ hypernode's predecessors and successors.  Each sweep:
    inverted) for predecessors, **ASAP** for successors — and appends the
    result to the ordered list.
 
+When the hypernode has neither predecessors nor successors left but the
+working graph still holds other nodes (a stray acyclic fragment, or a
+recurrence batch that simplification left weakly disconnected), a virtual
+edge from the hypernode to the first of them makes it a successor and the
+sweep goes on, so every node is emitted exactly once.
+
 The invariant this establishes is the heart of HRMS: when the scheduler
 later places a node, the partial schedule contains only that node's
 predecessors or only its successors, never both (recurrence closers aside),
@@ -31,11 +37,10 @@ def pre_ordering(
     ordered: list[str],
     hypernode: str,
 ) -> list[str]:
-    """Order every node of *hgraph* reachable from *hypernode*.
+    """Order every node of *hgraph* and reduce it into *hypernode*.
 
     *ordered* is the partial list built so far (mutated in place and also
-    returned).  On return, *hgraph* has been reduced to the hypernode (for
-    the nodes connected to it).
+    returned).  On return, *hgraph* holds the hypernode alone.
     """
     while True:
         preds = hgraph.predecessors(hypernode)
@@ -51,4 +56,7 @@ def pre_ordering(
             ordered.extend(asap_order(captured))
 
         if not preds and not succs:
-            return ordered
+            leftovers = [n for n in hgraph.node_names() if n != hypernode]
+            if not leftovers:
+                return ordered
+            hgraph.add_virtual_edge(hypernode, leftovers[0])

@@ -17,41 +17,19 @@ restrictive circuit is never stretched by nodes ordered before it:
 3. What remains is an acyclic graph with a single hypernode; the caller
    finishes it with the recurrence-free algorithm.
 
-Cross-subgraph simplification can leave a subgraph's surviving node list
-weakly disconnected; :func:`order_with_hypernode` therefore keeps adding
-virtual edges until the batch is fully ordered, guaranteeing every node is
-emitted exactly once.
+Each batch is ordered on :meth:`HypernodeGraph.induced`, a detached copy
+of the current working graph, by :func:`~repro.core.preorder.pre_ordering`;
+cross-subgraph simplification can leave a batch weakly disconnected, and
+that sweep's virtual edges still emit every node exactly once.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 from repro.core.hypernode import HypernodeGraph
 from repro.core.paths import search_all_paths
 from repro.core.preorder import pre_ordering
 from repro.graph.traversal import backward_reachable, forward_reachable
 from repro.mii.recurrences import RecurrenceSubgraph
-
-
-def order_with_hypernode(
-    hgraph: HypernodeGraph,
-    ordered: list[str],
-    hypernode: str,
-) -> None:
-    """Run :func:`pre_ordering` until *hgraph* is reduced to the hypernode.
-
-    Nodes with no path to or from the hypernode (possible after
-    simplification or in stray acyclic fragments) are attached with a
-    virtual edge and swept again, so the routine always terminates with
-    every node ordered.
-    """
-    while True:
-        pre_ordering(hgraph, ordered, hypernode)
-        leftovers = [n for n in hgraph.node_names() if n != hypernode]
-        if not leftovers:
-            return
-        hgraph.add_virtual_edge(hypernode, leftovers[0])
 
 
 def order_recurrences(
@@ -78,10 +56,10 @@ def order_recurrences(
 
     first, *rest = pending
     seeds = [name for name in first.ordering_nodes if name in hgraph]
-    inner = _clone_induced(hgraph, seeds)
+    inner = hgraph.induced(seeds)
     hypernode = inner.first_node
     ordered.append(hypernode)
-    order_with_hypernode(inner, ordered, hypernode)
+    pre_ordering(inner, ordered, hypernode)
     hgraph.reduce([s for s in seeds if s != hypernode], hypernode)
 
     for subgraph in rest:
@@ -91,8 +69,7 @@ def order_recurrences(
         if not _connected(hgraph, hypernode, seeds):
             hgraph.add_virtual_edge(hypernode, seeds[0])
         batch_nodes = search_all_paths(hgraph, {hypernode, *seeds})
-        inner = _clone_induced(hgraph, batch_nodes)
-        order_with_hypernode(inner, ordered, hypernode)
+        pre_ordering(hgraph.induced(batch_nodes), ordered, hypernode)
         hgraph.reduce(batch_nodes - {hypernode}, hypernode)
 
     return hypernode
@@ -108,18 +85,3 @@ def _connected(
     backward = backward_reachable(hgraph, [hypernode])
     return any(seed in backward for seed in seeds)
 
-
-def _clone_induced(
-    hgraph: HypernodeGraph, names: Iterable[str]
-) -> HypernodeGraph:
-    """Clone the induced subgraph over *names* as a mutable working graph.
-
-    Adjacency mirrors the *current* working graph (which may contain
-    virtual edges and earlier reductions), not the base dependence graph.
-    """
-    view = hgraph.subview(names)
-    clone = HypernodeGraph(hgraph._base, nodes=view.node_names())
-    for name in view.node_names():
-        clone._succ[name] = set(view.successors(name))
-        clone._pred[name] = set(view.predecessors(name))
-    return clone

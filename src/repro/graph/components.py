@@ -38,10 +38,3 @@ def connected_components(graph: DependenceGraph) -> list[list[str]]:
         components.append(members)
     return components
 
-
-def component_subgraphs(graph: DependenceGraph) -> list[DependenceGraph]:
-    """Induced subgraph for every weakly-connected component."""
-    return [
-        graph.subgraph(members, name=f"{graph.name}.cc{i}")
-        for i, members in enumerate(connected_components(graph))
-    ]

@@ -16,7 +16,8 @@ MinDist condensation can both run it over their own index tables.
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol, Sequence
+import heapq
+from typing import Container, Iterable, Protocol
 
 from repro.errors import CyclicGraphError
 
@@ -49,20 +50,12 @@ def topological_order(graph: GraphLike) -> list[str]:
         for succ in graph.successors(name):
             if succ in indegree and succ != name:
                 indegree[succ] += 1
-    # A sorted list scanned front-to-back keeps program order among ready
-    # nodes without needing a heap for the modest graph sizes involved.
-    ready = sorted(
-        (name for name, deg in indegree.items() if deg == 0),
-        key=position.__getitem__,
-    )
-    order: list[str] = []
-    import heapq
-
-    heap = [position[name] for name in ready]
+    # A heap of program positions keeps program order among ready nodes.
+    heap = [position[name] for name, deg in indegree.items() if deg == 0]
     heapq.heapify(heap)
-    names_by_position = {position[name]: name for name in names}
+    order: list[str] = []
     while heap:
-        name = names_by_position[heapq.heappop(heap)]
+        name = names[heapq.heappop(heap)]
         order.append(name)
         for succ in graph.successors(name):
             if succ == name or succ not in indegree:
@@ -159,41 +152,35 @@ def pala_order(graph: LatencyGraphLike) -> list[str]:
     return list(reversed(in_alap_order))
 
 
-def forward_reachable(graph: GraphLike, seeds: Iterable[str]) -> set[str]:
-    """Nodes reachable from *seeds* (seeds included)."""
-    return _reach(graph, seeds, graph.successors)
+def forward_reachable(
+    graph: GraphLike,
+    seeds: Iterable[str],
+    blocked: Container[str] = frozenset(),
+) -> set[str]:
+    """Nodes reachable from *seeds* (seeds included) without passing
+    through a *blocked* node."""
+    return _reach(seeds, graph.successors, blocked)
 
 
-def backward_reachable(graph: GraphLike, seeds: Iterable[str]) -> set[str]:
-    """Nodes from which some seed is reachable (seeds included)."""
-    return _reach(graph, seeds, graph.predecessors)
+def backward_reachable(
+    graph: GraphLike,
+    seeds: Iterable[str],
+    blocked: Container[str] = frozenset(),
+) -> set[str]:
+    """Nodes from which some seed is reachable (seeds included) without
+    passing through a *blocked* node."""
+    return _reach(seeds, graph.predecessors, blocked)
 
 
-def _reach(graph: GraphLike, seeds: Iterable[str], step) -> set[str]:
+def _reach(seeds: Iterable[str], step, blocked: Container[str]) -> set[str]:
     seen = set(seeds)
     stack = list(seen)
     while stack:
-        node = stack.pop()
-        for nxt in step(node):
-            if nxt not in seen:
+        for nxt in step(stack.pop()):
+            if nxt not in seen and nxt not in blocked:
                 seen.add(nxt)
                 stack.append(nxt)
     return seen
-
-
-def longest_path_length(graph: LatencyGraphLike) -> int:
-    """Length (in cycles) of the critical path through an acyclic graph."""
-    asap = asap_levels(graph)
-    return max(
-        (asap[name] + _latency(graph, name) for name in graph.node_names()),
-        default=0,
-    )
-
-
-def restrict_order(order: Sequence[str], keep: Iterable[str]) -> list[str]:
-    """Filter *order* down to the members of *keep*, preserving sequence."""
-    keep_set = set(keep)
-    return [name for name in order if name in keep_set]
 
 
 def strongly_connected(successors: list[list[int]]) -> list[int]:

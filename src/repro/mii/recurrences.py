@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 from repro.graph.circuits import Circuit, elementary_circuits
 from repro.graph.ddg import DependenceGraph
-from repro.graph.edges import Edge
 from repro.mii.recmii import circuit_recmii
 
 
@@ -40,14 +39,6 @@ class RecurrenceSubgraph:
     def is_trivial(self) -> bool:
         """Self-dependence of a single operation."""
         return len(self.nodes) == 1
-
-    def backward_edges(self, graph: DependenceGraph) -> list[Edge]:
-        """Materialise the backward edges from their keys."""
-        found = []
-        for edge in graph.edges():
-            if edge.key in self.backward_edge_keys:
-                found.append(edge)
-        return found
 
 
 def find_recurrence_subgraphs(

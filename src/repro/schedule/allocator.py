@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.errors import AllocationError
-from repro.schedule.lifetimes import ValueLifetime, compute_lifetimes
+from repro.schedule.lifetimes import compute_lifetimes
 from repro.schedule.maxlive import max_live
 from repro.schedule.schedule import Schedule
 
@@ -112,8 +112,11 @@ def allocate_registers(schedule: Schedule) -> RegisterAllocation:
 
     Runs three strategies and keeps the smallest result:
 
-    * **end-fit colouring** of the circular-arc conflict graph (good when
-      lifetimes are of similar length),
+    * **end-fit colouring** of the circular-arc conflict graph — arcs by
+      start cycle, each in the feasible register with the smallest dead
+      gap before it (the ``("start", "best")`` pair of
+      :mod:`repro.schedule.strategies`; good when lifetimes are of
+      similar length),
     * **per-value tiling with register merging** — each value first gets
       its own ``ceil(lifetime/II)`` cyclically-tiled registers (plain
       modulo variable expansion), then registers with disjoint occupancy
@@ -131,74 +134,11 @@ def allocate_registers(schedule: Schedule) -> RegisterAllocation:
     from repro.schedule.strategies import allocate_with_strategy
 
     candidates = [
-        _allocate_end_fit(schedule),
+        allocate_with_strategy(schedule, "start", "best"),
         _allocate_tiled_merged(schedule),
         allocate_with_strategy(schedule, "adjacency", "end"),
     ]
     return min(candidates, key=lambda a: a.register_count)
-
-
-def _allocate_end_fit(schedule: Schedule) -> RegisterAllocation:
-    """End-fit colouring of all value instances."""
-    ii = schedule.ii
-    unroll = mve_unroll_degree(schedule)
-    circumference = unroll * ii
-
-    arcs: list[Arc] = []
-    for lifetime in compute_lifetimes(schedule):
-        if lifetime.length == 0:
-            continue
-        if lifetime.length > circumference:
-            raise AllocationError(
-                f"value {lifetime.producer!r}: lifetime {lifetime.length} "
-                f"exceeds unrolled kernel span {circumference}"
-            )
-        for instance in range(unroll):
-            arcs.append(
-                Arc(
-                    value=lifetime.producer,
-                    instance=instance,
-                    start=(lifetime.start + instance * ii) % circumference,
-                    length=lifetime.length,
-                    circumference=circumference,
-                )
-            )
-
-    # End-fit with adjacency ordering: arcs sorted by start point (ties:
-    # longer arcs first so awkward arcs claim registers early); each arc
-    # goes to the feasible register whose previous occupant ends closest
-    # before the arc starts, minimising dead space on the circle — this is
-    # what keeps the result at MaxLive or MaxLive + 1 in [21].
-    arcs.sort(key=lambda a: (a.start, -a.length, a.value, a.instance))
-    registers: list[list[Arc]] = []
-    assignment: dict[tuple[str, int], int] = {}
-    for arc in arcs:
-        best_index: int | None = None
-        best_gap: int | None = None
-        for index, existing in enumerate(registers):
-            if any(arc.overlaps(other) for other in existing):
-                continue
-            gap = min(
-                (arc.start - (other.start + other.length)) % circumference
-                for other in existing
-            )
-            if best_gap is None or gap < best_gap:
-                best_index = index
-                best_gap = gap
-        if best_index is None:
-            registers.append([arc])
-            best_index = len(registers) - 1
-        else:
-            registers[best_index].append(arc)
-        assignment[(arc.value, arc.instance)] = best_index
-
-    lower_bound = max_live(schedule)
-    return RegisterAllocation(
-        unroll=unroll,
-        register_count=len(registers),
-        maxlive=lower_bound,
-        assignment=assignment,
-    )
 
 
 def _allocate_tiled_merged(schedule: Schedule) -> RegisterAllocation:

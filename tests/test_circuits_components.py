@@ -2,7 +2,7 @@
 
 from repro.graph.builder import GraphBuilder
 from repro.graph.circuits import elementary_circuits
-from repro.graph.components import component_subgraphs, connected_components
+from repro.graph.components import connected_components
 
 
 def figure8b():
@@ -104,13 +104,3 @@ class TestComponents:
     def test_direction_ignored(self):
         g = GraphBuilder().op("a").op("b").edge("b", "a", distance=1).build()
         assert len(connected_components(g)) == 1
-
-    def test_component_subgraphs(self):
-        g = (
-            GraphBuilder().op("a").op("x").op("b")
-            .edge("a", "b")
-            .build()
-        )
-        subs = component_subgraphs(g)
-        assert [s.node_names() for s in subs] == [["a", "b"], ["x"]]
-        assert subs[0].edge_count() == 1

@@ -33,6 +33,20 @@ class TestHypernodeGraph:
         h = HypernodeGraph(g, dropped_edge_keys={key})
         assert h.predecessors("m") == ["p2"]
 
+    def test_dropped_key_drops_its_whole_hop(self):
+        # b -> a carries distance-1 and distance-2 edges; the circuit
+        # search names only the distance-1 edge as the backward edge.
+        g = (
+            GraphBuilder().op("a").op("b")
+            .edge("a", "b").edge("b", "a", distance=1)
+            .edge("b", "a", distance=2)
+            .build()
+        )
+        h = HypernodeGraph(g, dropped_edge_keys={("b", "a", 1, "register")})
+        assert h.successors("b") == []
+        assert h.predecessors("a") == []
+        assert h.successors("a") == ["b"]
+
     def test_restricted_node_set(self):
         h = HypernodeGraph(sample(), nodes=["p1", "m"])
         assert h.node_names() == ["p1", "m"]
@@ -82,6 +96,32 @@ class TestReduction:
         h = HypernodeGraph(sample())
         h.reduce(["p1"], "p1")  # silently ignored
         assert "p1" in h
+
+
+class TestInduced:
+    def test_keeps_current_adjacency(self):
+        h = HypernodeGraph(sample())
+        h.add_virtual_edge("z", "s1")
+        h.reduce(["m"], "p1")
+        copy = h.induced(["p1", "p2", "z", "s1"])
+        assert copy.node_names() == ["p1", "p2", "s1", "z"]
+        assert copy.successors("p1") == ["s1", "z"]
+        assert copy.predecessors("p1") == ["p2"]
+        assert copy.successors("z") == ["s1"]
+
+    def test_detached_from_the_original(self):
+        h = HypernodeGraph(sample())
+        copy = h.induced(["p1", "m", "s1"])
+        copy.reduce(["m"], "p1")
+        h.add_virtual_edge("s1", "p1")
+        assert h.successors("p1") == ["m", "z"]
+        assert copy.successors("p1") == ["s1"]
+        assert copy.successors("s1") == []
+
+    def test_unknown_node_raises(self):
+        h = HypernodeGraph(sample(), nodes=["p1", "m"])
+        with pytest.raises(UnknownOperationError):
+            h.induced(["p1", "s1"])
 
 
 class TestVirtualEdges:

@@ -6,6 +6,7 @@ import pytest
 from repro.core.hypernode import HypernodeGraph
 from repro.core.ordering import hrms_order
 from repro.core.paths import search_all_paths
+from repro.errors import UnknownOperationError
 from repro.graph.builder import GraphBuilder
 from repro.machine.configs import motivating_machine, perfect_club_machine
 from repro.mii.analysis import compute_mii
@@ -147,6 +148,28 @@ class TestOrderingInvariants:
         )
         assert result.order[0] == "D"
         assert sorted(result.order) == sorted(g.node_names())
+
+    def test_unknown_initial_hypernode_rejected(self):
+        with pytest.raises(UnknownOperationError) as info:
+            hrms_order(
+                figure7_graph(),
+                machine=motivating_machine(),
+                initial_hypernode="zzz",
+            )
+        assert info.value.name == "zzz"
+
+    def test_initial_hypernode_in_another_component(self):
+        g = (
+            GraphBuilder().op("a").op("x").op("b").op("y")
+            .edge("a", "b").edge("x", "y")
+            .build()
+        )
+        result = hrms_order(
+            g, machine=motivating_machine(), initial_hypernode="y"
+        )
+        # The first component keeps its default start; the second
+        # starts from the override.
+        assert result.order == ["a", "b", "y", "x"]
 
     def test_recurrence_nodes_ordered_before_connectors(self):
         order = order_of(figure10_graph())

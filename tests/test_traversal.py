@@ -11,9 +11,7 @@ from repro.graph.traversal import (
     backward_reachable,
     forward_reachable,
     is_acyclic,
-    longest_path_length,
     pala_order,
-    restrict_order,
     topological_order,
 )
 
@@ -66,9 +64,6 @@ class TestLevels:
         alap = alap_levels(diamond())
         assert all(alap[n] >= asap[n] for n in asap)
 
-    def test_longest_path(self):
-        assert longest_path_length(diamond()) == 4
-
 
 class TestSortedOrders:
     def test_asap_order(self):
@@ -77,9 +72,6 @@ class TestSortedOrders:
     def test_pala_order_is_inverted_alap(self):
         # ALAP order: a(0), b(1), c(2), d(3) -> inverted.
         assert pala_order(diamond()) == ["d", "c", "b", "a"]
-
-    def test_restrict_order(self):
-        assert restrict_order(["a", "b", "c", "d"], {"d", "b"}) == ["b", "d"]
 
 
 class TestReachability:
@@ -91,3 +83,11 @@ class TestReachability:
 
     def test_seeds_included(self):
         assert "c" in forward_reachable(diamond(), ["c"])
+
+    def test_blocked_nodes_are_never_entered(self):
+        assert forward_reachable(diamond(), ["a"], blocked={"b"}) == {
+            "a", "c", "d"
+        }
+        assert backward_reachable(diamond(), ["d"], blocked={"b", "c"}) == {
+            "d"
+        }
