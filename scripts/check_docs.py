@@ -7,9 +7,10 @@ declared in ``setup.py`` and every scheduler registered in
 every relative link in the README and ``docs/`` must resolve to a
 real file, every backticked dotted ``repro.…`` name in
 ``README.md``, ``PERFORMANCE.md`` and ``docs/*.md`` must import and
-resolve, and every ``perf_check.py …`` and ``hrms-experiments …``
+resolve, every ``perf_check.py …`` and ``hrms-experiments …``
 command line in the code of the docs must parse with that program's
-argument parser.
+argument parser, and every ``*.md`` file a docstring under ``src/``
+cites must exist (its path taken from the repository root).
 Anything less means the docs have rotted relative to the code — which
 this script turns into a loud failure instead of a confused user.
 
@@ -23,6 +24,7 @@ or let ``scripts/perf_check.py`` (which embeds it as a tier) and
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import importlib
 import io
@@ -45,6 +47,9 @@ _CODE_SPAN = re.compile(r"`([^`\n]+)`")
 
 #: A dotted name rooted at the package — ``repro.engine.warm_start``.
 _REPRO_NAME = re.compile(r"(?<![\w.-])repro(?:\.[A-Za-z_]\w*)+")
+
+#: A markdown file name — ``docs/ARCHITECTURE.md``, ``PERFORMANCE.md``.
+_MD_NAME = re.compile(r"(?<![\w./-])[\w./-]+\.md\b")
 
 #: Fenced code blocks (also indented ones, inside list items).
 _FENCE = re.compile(r"^[ \t]*```.*?^[ \t]*```", flags=re.M | re.S)
@@ -101,6 +106,20 @@ def repro_names(markdown: Path) -> list[str]:
     names = []
     for span in _CODE_SPAN.findall(text):
         names.extend(_REPRO_NAME.findall(span))
+    return names
+
+
+def docstring_md_names(source: Path) -> list[str]:
+    """``*.md`` names in *source*'s module, class and function
+    docstrings."""
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            docstring = ast.get_docstring(node, clean=False)
+            if docstring:
+                names.extend(_MD_NAME.findall(docstring))
     return names
 
 
@@ -206,6 +225,14 @@ def check_docs(repo_root: Path) -> list[str]:
                     "which does not import"
                 )
 
+    for source in sorted((repo_root / "src").rglob("*.py")):
+        for name in docstring_md_names(source):
+            if not (repo_root / name).exists():
+                problems.append(
+                    f"{source.relative_to(repo_root)} cites {name!r} in a "
+                    "docstring, which does not exist"
+                )
+
     for pattern in _COMMAND_DOCS:
         for markdown in sorted(repo_root.glob(pattern)):
             for name, argv in command_calls(markdown):
@@ -227,7 +254,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print("check_docs: ok (README covers every entry point and scheduler; "
           "every documented repro name imports; every perf_check.py "
-          "and hrms-experiments command line parses)")
+          "and hrms-experiments command line parses; every markdown "
+          "file a src/ docstring cites exists)")
     return 0
 
 

@@ -13,7 +13,8 @@ restrictive circuit is never stretched by nodes ordered before it:
    subgraph's first node is added, making the subgraph an (artificial)
    successor — the paper reduces an arbitrary node into the hypernode
    instead; the virtual edge has the same connective effect while keeping
-   every node in the ordering (see DESIGN.md).
+   every node in the ordering (``docs/ARCHITECTURE.md``, "The HRMS
+   pre-ordering: one working graph").
 3. What remains is an acyclic graph with a single hypernode; the caller
    finishes it with the recurrence-free algorithm.
 

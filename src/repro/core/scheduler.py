@@ -13,11 +13,14 @@ predecessors or only successors in the partial schedule:
 * neither (the very first node of a component) — scan 0 … II−1.
 
 The modulo constraint makes windows longer than II pointless.  If any
-operation finds no slot the attempt fails and the driver retries with
-II+1 — *reusing the same ordering*, the asymmetry the paper highlights
-against ordering-per-II methods.
+operation finds no slot the pass fails; the placement ladder
+(:func:`~repro.schedulers.base.bidirectional_ladder`, shared with SMS;
+``docs/ARCHITECTURE.md``, "The placement ladder") retries the same order
+with its fallback passes, and when every pass fails the driver retries
+with II+1 — *reusing the same ordering*, the asymmetry the paper
+highlights against ordering-per-II methods.
 
-One deliberate strengthening over the paper's formulas (see DESIGN.md):
+One deliberate strengthening over the paper's formulas:
 EarlyStart/LateStart are computed from the **MinDist matrix** (longest
 dependence paths at the candidate II) rather than from direct edges only.
 Direct-edge bounds are incomplete when a path between two recurrence

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.engine.mindist import closure, factorise, fingerprint_digest
-from repro.engine.windows import StartBounds
+from repro.engine.windows import StartBounds, cyclic_frame
 from repro.graph.ddg import DependenceGraph
 from repro.machine.machine import MachineModel
 from repro.machine.mrt import ModuloReservationTable
@@ -81,6 +81,7 @@ class SchedulingSession:
         self._digest: str | None = None
         self._names: list[str] | None = None
         self._op_index: dict[str, int] | None = None
+        self._latencies: np.ndarray | None = None
         self._neighbours: (
             dict[str, tuple[tuple[str, ...], tuple[str, ...]]] | None
         ) = None
@@ -119,6 +120,18 @@ class SchedulingSession:
                 name: i for i, name in enumerate(self.names)
             }
         return self._op_index
+
+    @property
+    def latencies(self) -> np.ndarray:
+        """Operation latencies in matrix row order, built once per
+        session."""
+        if self._latencies is None:
+            graph = self.graph
+            self._latencies = np.array(
+                [graph.operation(name).latency for name in self.names],
+                dtype=np.int64,
+            )
+        return self._latencies
 
     @property
     def neighbours(self) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
@@ -175,7 +188,7 @@ class SchedulingSession:
         if solved is None:
             return None
         dist, names = solved
-        asap = np.maximum(dist.max(axis=0), 0)
+        asap, _ = cyclic_frame(dist, self.latencies)
         return {name: int(asap[i]) for i, name in enumerate(names)}
 
     def start_bounds(self, ii: int) -> StartBounds | None:

@@ -43,6 +43,25 @@ _ES_UNSET = 4 * NO_PATH
 _LS_UNSET = -4 * NO_PATH
 
 
+def cyclic_frame(
+    dist: np.ndarray, latencies: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The static cyclic ``(asap, alap)`` frame of a MinDist matrix.
+
+    ``asap[v]`` is the longest path into ``v``, never below 0.  The
+    horizon — the critical-path anchor — is the latest completion,
+    ``max(asap + latency)``; ``alap[v]`` is the horizon minus the
+    longest path out of ``v`` plus the path end's latency, never below
+    ``asap[v]``.  *latencies* is indexed like the matrix rows.  SMS's
+    mobility, Slack's priority frame and the session's cyclic ASAP all
+    read this one frame.
+    """
+    asap = np.maximum(dist.max(axis=0), 0)
+    horizon = int((asap + latencies).max())
+    alap = horizon - (dist + latencies[None, :]).max(axis=1)
+    return asap, np.maximum(alap, asap)
+
+
 class StartBounds:
     """Running transitive EarlyStart/LateStart over a MinDist matrix.
 

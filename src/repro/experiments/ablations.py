@@ -22,16 +22,9 @@ from typing import Any
 from repro.core.scheduler import HRMSScheduler
 from repro.engine.session import SchedulingSession
 from repro.experiments.results import render_table
-from repro.graph.ddg import DependenceGraph
 from repro.machine.machine import MachineModel
 from repro.schedule.maxlive import max_live
-from repro.schedulers.base import (
-    ModuloScheduler,
-    downward_window,
-    early_start,
-    late_start,
-    upward_window,
-)
+from repro.schedulers.base import ModuloScheduler, bidirectional_ladder
 from repro.workloads.loops import Loop
 
 
@@ -90,10 +83,10 @@ def render_sensitivity(rows: list[SensitivityRow]) -> str:
 class ProgramOrderScheduler(ModuloScheduler):
     """HRMS's placement rules without its ordering (the ablated variant).
 
-    Operations are visited in program order; each is placed as soon /
-    as late as possible depending on which neighbours happen to be
-    scheduled — the bidirectional placer is identical to HRMS's, so any
-    difference in output is attributable to the pre-ordering phase.
+    Operations are visited in program order and placed by HRMS's own
+    placement ladder (:func:`~repro.schedulers.base.bidirectional_ladder`),
+    so any difference in output is attributable to the pre-ordering
+    phase.
     """
 
     name = "program-order"
@@ -107,29 +100,7 @@ class ProgramOrderScheduler(ModuloScheduler):
         ii: int,
         context: Any,
     ) -> dict[str, int] | None:
-        order: list[str] = context
-        graph = session.graph
-        mrt = session.mrt(ii)
-        start: dict[str, int] = {}
-        for name in order:
-            op = graph.operation(name)
-            es = early_start(graph, start, name, ii)
-            ls = late_start(graph, start, name, ii)
-            if es is not None and ls is None:
-                window = upward_window(es, ii)
-            elif ls is not None and es is None:
-                window = downward_window(ls, ii)
-            elif es is not None and ls is not None:
-                if es > ls:
-                    return None
-                window = upward_window(es, ii, ls)
-            else:
-                window = upward_window(0, ii)
-            cycle = mrt.scan_place(op, window)
-            if cycle is None:
-                return None
-            start[name] = cycle
-        return start
+        return bidirectional_ladder(session, ii, context)
 
 
 @dataclass
@@ -161,10 +132,7 @@ def preordering_value(
     for loop in loops:
         analysis = compute_mii(loop.graph, machine)
         hs = hrms.schedule(loop.graph, machine, analysis)
-        try:
-            as_ = ablated.schedule(loop.graph, machine, analysis)
-        except Exception:
-            continue
+        as_ = ablated.schedule(loop.graph, machine, analysis)
         h_live += max_live(hs)
         a_live += max_live(as_)
         h_opt += hs.ii == analysis.mii

@@ -107,6 +107,51 @@ def mve_unroll_degree(schedule: Schedule) -> int:
     return degree
 
 
+def value_arcs(
+    schedule: Schedule,
+) -> tuple[list[tuple[int, list[Arc]]], int]:
+    """Every value's arcs on the unrolled circle, and the unroll degree.
+
+    One ``(width, arcs)`` entry per value with a non-zero lifetime, in
+    lifetime order: its ``unroll`` instance arcs, offset by II, and the
+    width of the register block that holds them cyclically (instance
+    ``j`` in slot ``j mod width``).  The width is ``ceil(lifetime/II)``,
+    widened to the next divisor of the unroll degree: instances ``j``
+    and ``j + width`` share a slot, which is conflict-free only when the
+    circle holds a whole number of width-sized strides (the unroll
+    degree may have fallen back from the lcm).  Raises
+    :class:`~repro.errors.AllocationError` for a lifetime longer than
+    the unrolled kernel.
+    """
+    ii = schedule.ii
+    unroll = mve_unroll_degree(schedule)
+    circumference = unroll * ii
+    values: list[tuple[int, list[Arc]]] = []
+    for lifetime in compute_lifetimes(schedule):
+        if lifetime.length == 0:
+            continue
+        if lifetime.length > circumference:
+            raise AllocationError(
+                f"value {lifetime.producer!r}: lifetime {lifetime.length} "
+                f"exceeds unrolled kernel span {circumference}"
+            )
+        width = max(1, math.ceil(lifetime.length / ii))
+        while unroll % width:
+            width += 1
+        arcs = [
+            Arc(
+                value=lifetime.producer,
+                instance=instance,
+                start=(lifetime.start + instance * ii) % circumference,
+                length=lifetime.length,
+                circumference=circumference,
+            )
+            for instance in range(unroll)
+        ]
+        values.append((width, arcs))
+    return values, unroll
+
+
 def allocate_registers(schedule: Schedule) -> RegisterAllocation:
     """Allocate all loop variants of *schedule*.
 
@@ -150,39 +195,14 @@ def _allocate_tiled_merged(schedule: Schedule) -> RegisterAllocation:
     then merged greedily whenever their occupancies are disjoint on the
     common circle.
     """
-    ii = schedule.ii
-    unroll = mve_unroll_degree(schedule)
-    circumference = unroll * ii
-
-    # Build per-value private registers.
+    values, unroll = value_arcs(schedule)
     registers: list[list[Arc]] = []
     owner_of: dict[tuple[str, int], int] = {}
-    for lifetime in compute_lifetimes(schedule):
-        if lifetime.length == 0:
-            continue
-        if lifetime.length > circumference:
-            raise AllocationError(
-                f"value {lifetime.producer!r}: lifetime {lifetime.length} "
-                f"exceeds unrolled kernel span {circumference}"
-            )
-        degree = max(1, math.ceil(lifetime.length / ii))
-        # Instance j and j+degree share a register, which is only
-        # conflict-free when the circle holds a whole number of degree-
-        # sized strides; when the unroll factor fell back from the lcm,
-        # widen the stride to the next divisor of the unroll.
-        while unroll % degree:
-            degree += 1
+    for degree, arcs in values:
         base = len(registers)
         registers.extend([] for _ in range(degree))
-        for instance in range(unroll):
-            arc = Arc(
-                value=lifetime.producer,
-                instance=instance,
-                start=(lifetime.start + instance * ii) % circumference,
-                length=lifetime.length,
-                circumference=circumference,
-            )
-            slot = base + instance % degree
+        for arc in arcs:
+            slot = base + arc.instance % degree
             registers[slot].append(arc)
             owner_of[(arc.value, arc.instance)] = slot
 

@@ -4,9 +4,11 @@
 allocation as a cross product of an **ordering** (which arc to place next)
 and a **fit** (which feasible register takes it).  The paper's footnote 4
 quotes its headline result — wands-only end-fit with adjacency ordering
-never needs more than MaxLive + 1 registers — and
-:func:`repro.schedule.allocator.allocate_registers` uses exactly that
-pair.  This module exposes the full matrix so the claim itself can be
+never needs more than MaxLive + 1 registers.
+:func:`repro.schedule.allocator.allocate_registers` runs two pairs of
+this matrix, ``("start", "best")`` and ``("adjacency", "end")``, next
+to per-value tiling and keeps whichever needs the fewest registers.
+This module exposes the full matrix so the claim itself can be
 reproduced as an ablation:
 
 Orderings
@@ -34,12 +36,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.errors import AllocationError
-from repro.schedule.allocator import (
-    Arc,
-    RegisterAllocation,
-    mve_unroll_degree,
-)
-from repro.schedule.lifetimes import compute_lifetimes
+from repro.schedule.allocator import Arc, RegisterAllocation, value_arcs
 from repro.schedule.maxlive import max_live
 from repro.schedule.schedule import Schedule
 
@@ -50,29 +47,8 @@ FITS = ("first", "best", "end")
 
 def build_arcs(schedule: Schedule) -> tuple[list[Arc], int]:
     """All value-instance arcs of *schedule* on the unrolled circle."""
-    ii = schedule.ii
-    unroll = mve_unroll_degree(schedule)
-    circumference = unroll * ii
-    arcs: list[Arc] = []
-    for lifetime in compute_lifetimes(schedule):
-        if lifetime.length == 0:
-            continue
-        if lifetime.length > circumference:
-            raise AllocationError(
-                f"value {lifetime.producer!r}: lifetime {lifetime.length} "
-                f"exceeds unrolled kernel span {circumference}"
-            )
-        for instance in range(unroll):
-            arcs.append(
-                Arc(
-                    value=lifetime.producer,
-                    instance=instance,
-                    start=(lifetime.start + instance * ii) % circumference,
-                    length=lifetime.length,
-                    circumference=circumference,
-                )
-            )
-    return arcs, unroll
+    values, unroll = value_arcs(schedule)
+    return [arc for _, arcs in values for arc in arcs], unroll
 
 
 def allocate_with_strategy(

@@ -20,15 +20,7 @@ adjacency ordering stays within one register of MaxLive.
 
 from __future__ import annotations
 
-import math
-
-from repro.errors import AllocationError
-from repro.schedule.allocator import (
-    Arc,
-    RegisterAllocation,
-    mve_unroll_degree,
-)
-from repro.schedule.lifetimes import compute_lifetimes
+from repro.schedule.allocator import Arc, RegisterAllocation, value_arcs
 from repro.schedule.maxlive import max_live
 from repro.schedule.schedule import Schedule
 
@@ -36,8 +28,8 @@ from repro.schedule.schedule import Schedule
 class _Wand:
     """One value's arcs, grouped and indexed by block slot."""
 
-    def __init__(self, value: str, arcs: list[Arc], width: int) -> None:
-        self.value = value
+    def __init__(self, arcs: list[Arc], width: int) -> None:
+        self.value = arcs[0].value
         self.width = width
         #: slot (0..width-1) → arcs landing in that slot.
         self.slots: list[list[Arc]] = [[] for _ in range(width)]
@@ -57,37 +49,8 @@ class _Wand:
 
 def allocate_wands(schedule: Schedule) -> RegisterAllocation:
     """Wands-only end-fit allocation of *schedule*'s loop variants."""
-    ii = schedule.ii
-    unroll = mve_unroll_degree(schedule)
-    circumference = unroll * ii
-
-    wands: list[_Wand] = []
-    for lifetime in compute_lifetimes(schedule):
-        if lifetime.length == 0:
-            continue
-        if lifetime.length > circumference:
-            raise AllocationError(
-                f"value {lifetime.producer!r}: lifetime {lifetime.length} "
-                f"exceeds unrolled kernel span {circumference}"
-            )
-        width = max(1, math.ceil(lifetime.length / ii))
-        # A slot is reused by instances j and j+width; that is only
-        # conflict-free when width divides the unroll degree (the same
-        # divisibility the tiled allocator needs).
-        while unroll % width:
-            width += 1
-        arcs = [
-            Arc(
-                value=lifetime.producer,
-                instance=instance,
-                start=(lifetime.start + instance * ii) % circumference,
-                length=lifetime.length,
-                circumference=circumference,
-            )
-            for instance in range(unroll)
-        ]
-        wands.append(_Wand(lifetime.producer, arcs, width))
-
+    values, unroll = value_arcs(schedule)
+    wands = [_Wand(arcs, width) for width, arcs in values]
     wands.sort(key=lambda w: (w.start, -w.width, w.value))
     registers: list[list[Arc]] = []
     assignment: dict[tuple[str, int], int] = {}

@@ -28,6 +28,7 @@ from repro.errors import IterationLimitError
 from repro.obs import trace
 from repro.graph.ddg import DependenceGraph
 from repro.machine.machine import MachineModel
+from repro.machine.mrt import ModuloReservationTable
 from repro.mii.analysis import MIIResult
 from repro.schedule.schedule import Schedule, ScheduleStats
 
@@ -81,96 +82,67 @@ def default_ii_limit(graph: DependenceGraph, mii: int) -> int:
     return mii + graph.total_latency() + len(graph) + 8
 
 
-def neighbor_directed_attempt(
+#: When a two-sided operation (one with both an EarlyStart and a
+#: LateStart) scans down from its LateStart, by the scheduled *direct*
+#: neighbours it has: never, always, when they are successors only, or
+#: when any of them is a successor.
+_NEVER, _ALWAYS, _SUCCS_ONLY, _ANY_SUCC = range(4)
+
+#: The placement ladder HRMS and SMS share at one II, one row per pass:
+#: ``(two-sided scan-down rule, stagger)``.  The passes run in this
+#: order and the first that places every operation wins, so every loop
+#: an earlier pass schedules keeps its bit-identical schedule.
+#:
+#: Every pass scans an II-long window whose limits are the exact
+#: transitive bounds: upward from EarlyStart when only predecessors
+#: constrain the operation, downward from LateStart when only successors
+#: do, from cycle 0 when nothing does.  The rows differ only in where a
+#: two-sided window (a recurrence closer) is anchored, and in the
+#: stagger.
+#:
+#: 1. The paper's ES-upward scan.
+#: 2. Every two-sided window from the LateStart end — the fallback for
+#:    overlapping recurrences.  A node constrained from both sides that
+#:    the ES-upward scan pins at its earliest cycle can leave a later
+#:    recurrence node an *empty* window that no II increase repairs (the
+#:    gap between the two bounds is II-invariant), and the upward window
+#:    ``[ES, ES+II-1]`` can miss the feasible region entirely when
+#:    ``LS - ES`` exceeds II.
+#: 3.–4. Section 3.3's actual direction rule: scheduled direct
+#:    predecessors only → ASAP, successors only → ALAP, both (recurrence
+#:    closers) → up (pass 3) or down (pass 4).  The transitive MinDist
+#:    bounds give almost every operation *both* an ES and an LS once a
+#:    recurrence node is placed, so passes 1–2 scan nearly everything
+#:    ASAP, and an operation whose only scheduled direct neighbours are
+#:    successors gets parked at its transitive EarlyStart (often far too
+#:    early).  That can freeze a later recurrence closer into a
+#:    one-cycle window on an occupied row at **every** II, so the
+#:    driver's II+1 retry loops to exhaustion (found by the QA fuzzing
+#:    campaign; minimized in ``tests/corpus/``).
+#: 5.–6. Passes 3–4 with every multi-candidate window rotated by one
+#:    cycle, so boundary cycles (an op's exact EarlyStart/LateStart) are
+#:    tried *last*.  An op parked at exactly its LS both freezes a
+#:    successor's window and squats on the row that successor needs;
+#:    staggering leaves the boundary free whenever an alternative slot
+#:    exists.
+_LADDER = (
+    (_NEVER, 0),
+    (_ALWAYS, 0),
+    (_SUCCS_ONLY, 0),
+    (_ANY_SUCC, 0),
+    (_SUCCS_ONLY, 1),
+    (_ANY_SUCC, 1),
+)
+
+
+def _ladder_pass(
     session: SchedulingSession,
     ii: int,
     order: list[str],
-    closers_down: bool = False,
-    stagger: int = 0,
+    scan_down: int,
+    stagger: int,
 ) -> dict[str, int] | None:
-    """One placement attempt using the paper's direction rule.
-
-    Shared fallback for the bidirectional schedulers (HRMS, SMS).
-    Their primary attempts classify an operation by which *transitive*
-    bounds exist — but the MinDist matrix gives almost every operation
-    both an EarlyStart and a LateStart once any recurrence node is
-    placed, so nearly everything scans ASAP.  An operation whose only
-    *scheduled direct neighbours* are successors then gets parked at
-    its transitive EarlyStart (often far too early), which can pin a
-    later recurrence closer into a one-cycle window on an occupied row
-    — at **every** II, so the driver's II+1 retry loops to exhaustion
-    (found by the QA fuzzing campaign; minimized in ``tests/corpus/``).
-
-    Here the scan *direction* follows Section 3.3's actual rule —
-    scheduled direct predecessors only → ASAP, successors only → ALAP,
-    both (recurrence closers) → the two-sided window, scanned upward or
-    (``closers_down``) downward — while the window *limits* still come
-    from the exact transitive bounds.
-
-    ``stagger`` rotates every multi-candidate scan by that many cycles,
-    so boundary cycles (an op's exact EarlyStart/LateStart) are tried
-    *last*.  Greedy boundary placement is what pinches later one-cycle
-    windows onto occupied rows — an op parked at exactly its LS both
-    freezes a successor's window and squats on the row that successor
-    needs; staggering leaves the boundary free whenever an alternative
-    slot exists.
-    """
-    graph = session.graph
-    bounds = session.start_bounds(ii)
-    if bounds is None:
-        return None
-    index = session.op_index
-    neighbours = session.neighbours
-    mrt = session.mrt(ii)
-    start: dict[str, int] = {}
-    for name in order:
-        op = graph.operation(name)
-        i = index[name]
-        es = bounds.early_start(i)
-        ls = bounds.late_start(i)
-        if es is not None and ls is not None and es > ls:
-            return None
-        preds, succs = neighbours[name]
-        has_pred = not start.keys().isdisjoint(preds)
-        has_succ = not start.keys().isdisjoint(succs)
-        if has_succ and not has_pred and ls is not None:
-            window = downward_window(ls, ii, es)
-        elif has_pred and has_succ and closers_down and ls is not None:
-            window = downward_window(ls, ii, es)
-        elif es is not None:
-            window = upward_window(es, ii, ls)
-        elif ls is not None:
-            window = downward_window(ls, ii)
-        else:
-            window = upward_window(0, ii)
-        candidates: Sequence[int] = window
-        if stagger and len(window) > 1:
-            shift = stagger % len(window)
-            candidates = [*window[shift:], *window[:shift]]
-        cycle = mrt.scan_place(op, candidates)
-        if cycle is None:
-            return None
-        start[name] = cycle
-        bounds.place(i, cycle)
-    return start
-
-
-def bidirectional_attempt(
-    session: SchedulingSession,
-    ii: int,
-    order: list[str],
-    both_down: bool = False,
-) -> dict[str, int] | None:
-    """One bidirectional placement pass with transitive bounds.
-
-    The primary attempt shared by HRMS and SMS (their orderings differ,
-    their placement rule does not): each operation in *order* scans an
-    II-long window anchored by its transitive EarlyStart/LateStart —
-    upward when only predecessors constrain it, downward when only
-    successors do, two-sided for recurrence closers.  ``both_down``
-    anchors the two-sided scan at the LateStart end instead (the rescue
-    for windows wider than II; see :func:`bidirectional_ladder`).
-    """
+    """One pass of :data:`_LADDER`: place *order* at *ii* or fail."""
     graph = session.graph
     bounds = session.start_bounds(ii)
     if bounds is None:
@@ -179,30 +151,39 @@ def bidirectional_attempt(
     mrt = session.mrt(ii)
     start: dict[str, int] = {}
     for name in order:
-        op = graph.operation(name)
-        es = bounds.early_start(index[name])
-        ls = bounds.late_start(index[name])
-        if es is not None and ls is None:
-            window = upward_window(es, ii)
-        elif ls is not None and es is None:
+        i = index[name]
+        es = bounds.early_start(i)
+        ls = bounds.late_start(i)
+        if ls is None:
+            window = upward_window(0 if es is None else es, ii)
+        elif es is None:
             window = downward_window(ls, ii)
-        elif es is not None and ls is not None:
-            if es > ls:
-                return None
-            if both_down:
-                # Anchor the II-length scan at the LateStart end: the
-                # upward window [ES, ES+II-1] can miss the feasible
-                # region entirely when LS - ES exceeds II.
+        elif es > ls:
+            return None
+        else:
+            if scan_down == _NEVER:
+                down = False
+            elif scan_down == _ALWAYS:
+                down = True
+            else:
+                preds, succs = session.neighbours[name]
+                down = not start.keys().isdisjoint(succs) and (
+                    scan_down == _ANY_SUCC
+                    or start.keys().isdisjoint(preds)
+                )
+            if down:
                 window = downward_window(ls, ii, es)
             else:
                 window = upward_window(es, ii, ls)
-        else:
-            window = upward_window(0, ii)
-        cycle = mrt.scan_place(op, window)
+        candidates: Sequence[int] = window
+        if stagger and len(window) > 1:
+            shift = stagger % len(window)
+            candidates = [*window[shift:], *window[:shift]]
+        cycle = mrt.scan_place(graph.operation(name), candidates)
         if cycle is None:
             return None
         start[name] = cycle
-        bounds.place(index[name], cycle)
+        bounds.place(i, cycle)
     return start
 
 
@@ -211,57 +192,88 @@ def bidirectional_ladder(
     ii: int,
     order: list[str],
 ) -> dict[str, int] | None:
-    """The six-pass placement ladder HRMS and SMS share at one II.
+    """Place *order* at *ii* with the first pass of :data:`_LADDER`
+    that places every operation, or return ``None``.
 
-    The passes run in a fixed order and the first that places every
-    operation wins, so every loop an earlier pass schedules keeps its
-    bit-identical schedule:
-
-    1. :func:`bidirectional_attempt` — the paper's ES-upward scan.
-    2. :func:`bidirectional_attempt` with ``both_down`` — the fallback
-       for overlapping recurrences: a node constrained from both sides
-       that the ES-upward scan pins at its earliest cycle can leave a
-       later recurrence node an *empty* window that no II increase
-       repairs (the gap between the two bounds is II-invariant).
-       Scanning the two-sided windows from the LateStart end resolves
-       those cases without affecting recurrence-free loops, which never
-       produce two-sided windows.
-    3.–6. :func:`neighbor_directed_attempt` over ``(closers_down,
-       stagger)`` = ``(False, 0), (True, 0), (False, 1), (True, 1)`` —
-       the last resort.  The transitive MinDist bounds give almost
-       every operation *both* an ES and an LS once a recurrence node is
-       placed, so the passes above scan nearly everything ASAP, and an
-       operation whose only *scheduled direct neighbours* are
-       successors gets pinned at its transitive EarlyStart, which can
-       freeze a later recurrence closer into a one-cycle window parked
-       on an occupied row at every II (found by the QA fuzzing
-       campaign; see ``tests/corpus/``).  Classifying the scan
-       direction by scheduled direct neighbours — Section 3.3's actual
-       rule — while keeping the transitive bounds as the window
-       *limits*, and failing that the staggered scan that keeps
-       boundary cycles free, resolves those loops, usually at the MII
-       itself.
-
-    HRMS and SMS each keep a one-line ``attempt`` of their own that
-    calls this helper, so instrumentation that wraps a class's own
-    ``attempt`` (the perfbench layer tracer) still sees both.
+    HRMS and SMS (their orderings differ, their placement rule does not)
+    each keep a one-line ``attempt`` of their own that calls this
+    helper, so instrumentation that wraps a class's own ``attempt`` (the
+    perfbench layer tracer) still sees both.
     """
-    for both_down in (False, True):
-        result = bidirectional_attempt(
-            session, ii, order, both_down=both_down
-        )
-        if result is not None:
-            return result
-    for closers_down, stagger in (
-        (False, 0), (True, 0), (False, 1), (True, 1),
-    ):
-        result = neighbor_directed_attempt(
-            session, ii, order,
-            closers_down=closers_down, stagger=stagger,
-        )
+    for scan_down, stagger in _LADDER:
+        result = _ladder_pass(session, ii, order, scan_down, stagger)
         if result is not None:
             return result
     return None
+
+
+def force_place(
+    graph: DependenceGraph,
+    mrt: ModuloReservationTable,
+    start: dict[str, int],
+    unscheduled: set[str],
+    name: str,
+    es: int,
+    last_forced: dict[str, int],
+) -> int | None:
+    """Insist on (roughly) EarlyStart: Huff's operation ejection, Rau's
+    displacement.
+
+    *name* goes to *es*, or one cycle past the cycle it was last forced
+    to when that is not earlier (so repeats make progress); every
+    operation holding a resource it needs there is evicted.  Returns the
+    cycle, or ``None`` when the class has zero capacity for the span at
+    this II.  Dependence violations are the caller's to evict
+    (:func:`evict_violations`).
+    """
+    cycle = es
+    if name in last_forced and last_forced[name] >= cycle:
+        cycle = last_forced[name] + 1
+    last_forced[name] = cycle
+    op = graph.operation(name)
+    for victim in mrt.conflicting_ops(op, cycle):
+        evict(graph, mrt, start, unscheduled, victim)
+    if not mrt.place(op, cycle):
+        return None
+    return cycle
+
+
+def evict_violations(
+    graph: DependenceGraph,
+    mrt: ModuloReservationTable,
+    start: dict[str, int],
+    unscheduled: set[str],
+    name: str,
+    cycle: int,
+    ii: int,
+) -> None:
+    """Evict the placed neighbours whose dependence edges *name* at
+    *cycle* violates."""
+    op = graph.operation(name)
+    for edge in graph.out_edges(name):
+        if edge.dst == name or edge.dst not in start:
+            continue
+        if start[edge.dst] + edge.distance * ii < cycle + op.latency:
+            evict(graph, mrt, start, unscheduled, edge.dst)
+    for edge in graph.in_edges(name):
+        if edge.src == name or edge.src not in start:
+            continue
+        producer = graph.operation(edge.src)
+        if cycle + edge.distance * ii < start[edge.src] + producer.latency:
+            evict(graph, mrt, start, unscheduled, edge.src)
+
+
+def evict(
+    graph: DependenceGraph,
+    mrt: ModuloReservationTable,
+    start: dict[str, int],
+    unscheduled: set[str],
+    victim: str,
+) -> None:
+    """Take *victim* off the table and back into the unscheduled pool."""
+    mrt.unplace(graph.operation(victim))
+    start.pop(victim, None)
+    unscheduled.add(victim)
 
 
 def sequential_fallback_schedule(

@@ -30,9 +30,12 @@ import numpy as np
 
 from repro.engine import NO_PATH
 from repro.engine.session import SchedulingSession
-from repro.graph.ddg import DependenceGraph
-from repro.machine.mrt import ModuloReservationTable
-from repro.schedulers.base import ModuloScheduler, early_start
+from repro.schedulers.base import (
+    ModuloScheduler,
+    early_start,
+    evict_violations,
+    force_place,
+)
 
 
 class IMSScheduler(ModuloScheduler):
@@ -63,7 +66,7 @@ class IMSScheduler(ModuloScheduler):
         if result is None:
             return None
         dist, names = result
-        heights = self._heights(graph, dist, names)
+        heights = self._heights(dist, session.latencies)
         order = session.op_index
 
         mrt = session.mrt(ii)
@@ -83,8 +86,8 @@ class IMSScheduler(ModuloScheduler):
 
             placed_at = mrt.scan_place(op, range(es, es + ii))
             if placed_at is None:
-                placed_at = self._force_place(
-                    graph, mrt, start, unscheduled, pick, es, last_forced, ii
+                placed_at = force_place(
+                    graph, mrt, start, unscheduled, pick, es, last_forced
                 )
                 if placed_at is None:
                     return None
@@ -93,7 +96,7 @@ class IMSScheduler(ModuloScheduler):
             # A slot legal w.r.t. predecessors may still violate an edge
             # to an already-scheduled successor (EarlyStart ignores them);
             # Rau's algorithm displaces such neighbours on every placement.
-            self._evict_violations(
+            evict_violations(
                 graph, mrt, start, unscheduled, pick, placed_at, ii
             )
             budget -= 1
@@ -103,76 +106,8 @@ class IMSScheduler(ModuloScheduler):
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _heights(
-        graph: DependenceGraph, dist: np.ndarray, names: list[str]
-    ) -> np.ndarray:
+    def _heights(dist: np.ndarray, latencies: np.ndarray) -> np.ndarray:
         """Longest II-adjusted path from each operation to any other."""
         reachable = dist > NO_PATH // 2
         heights = np.where(reachable, dist, np.int64(0)).max(axis=1)
-        latencies = np.array(
-            [graph.operation(name).latency for name in names],
-            dtype=np.int64,
-        )
         return heights + latencies
-
-    def _force_place(
-        self,
-        graph: DependenceGraph,
-        mrt: ModuloReservationTable,
-        start: dict[str, int],
-        unscheduled: set[str],
-        name: str,
-        es: int,
-        last_forced: dict[str, int],
-        ii: int,
-    ) -> int | None:
-        """Rau's displacement: place at ES (monotone on repeats), evict."""
-        cycle = es
-        if name in last_forced and last_forced[name] >= cycle:
-            cycle = last_forced[name] + 1
-        last_forced[name] = cycle
-        op = graph.operation(name)
-
-        for victim in mrt.conflicting_ops(op, cycle):
-            mrt.unplace(graph.operation(victim))
-            start.pop(victim, None)
-            unscheduled.add(victim)
-        if not mrt.place(op, cycle):
-            return None
-        return cycle
-
-    def _evict_violations(
-        self,
-        graph: DependenceGraph,
-        mrt: ModuloReservationTable,
-        start: dict[str, int],
-        unscheduled: set[str],
-        name: str,
-        cycle: int,
-        ii: int,
-    ) -> None:
-        """Displace neighbours whose dependence edges *cycle* violates."""
-        op = graph.operation(name)
-        for edge in graph.out_edges(name):
-            if edge.dst == name or edge.dst not in start:
-                continue
-            if start[edge.dst] + edge.distance * ii < cycle + op.latency:
-                self._evict(graph, mrt, start, unscheduled, edge.dst)
-        for edge in graph.in_edges(name):
-            if edge.src == name or edge.src not in start:
-                continue
-            producer = graph.operation(edge.src)
-            if cycle + edge.distance * ii < start[edge.src] + producer.latency:
-                self._evict(graph, mrt, start, unscheduled, edge.src)
-
-    @staticmethod
-    def _evict(
-        graph: DependenceGraph,
-        mrt: ModuloReservationTable,
-        start: dict[str, int],
-        unscheduled: set[str],
-        victim: str,
-    ) -> None:
-        mrt.unplace(graph.operation(victim))
-        start.pop(victim, None)
-        unscheduled.add(victim)

@@ -24,9 +24,12 @@ import numpy as np
 
 from repro.engine import NO_PATH
 from repro.engine.session import SchedulingSession
-from repro.graph.ddg import DependenceGraph
-from repro.machine.mrt import ModuloReservationTable
-from repro.schedulers.base import ModuloScheduler
+from repro.engine.windows import cyclic_frame
+from repro.schedulers.base import (
+    ModuloScheduler,
+    evict_violations,
+    force_place,
+)
 
 
 class SlackScheduler(ModuloScheduler):
@@ -57,16 +60,7 @@ class SlackScheduler(ModuloScheduler):
             return None
         dist, names = result
         index = session.op_index
-        latencies = np.array(
-            [graph.operation(name).latency for name in names], dtype=np.int64
-        )
-
-        # Static frame: cyclic ASAP, critical-path anchor, cyclic ALAP.
-        es0 = np.maximum(dist.max(axis=0), 0)
-        horizon = int((es0 + latencies).max())
-        reach = dist + latencies[None, :]
-        ls0 = horizon - reach.max(axis=1)
-        ls0 = np.maximum(ls0, es0)  # resource pressure may stretch later
+        es0, ls0 = cyclic_frame(dist, session.latencies)
 
         mrt = session.mrt(ii)
         start: dict[str, int] = {}
@@ -93,11 +87,14 @@ class SlackScheduler(ModuloScheduler):
                     window = range(top, es - 1, -1)
                 placed_at = mrt.scan_place(op, window)
             if placed_at is None:
-                placed_at = self._force_place(
-                    graph, mrt, start, unscheduled, pick, es, last_forced, ii
+                placed_at = force_place(
+                    graph, mrt, start, unscheduled, pick, es, last_forced
                 )
                 if placed_at is None:
                     return None
+                evict_violations(
+                    graph, mrt, start, unscheduled, pick, placed_at, ii
+                )
             start[pick] = placed_at
             unscheduled.discard(pick)
             budget -= 1
@@ -169,55 +166,3 @@ class SlackScheduler(ModuloScheduler):
         assert best is not None
         _, name, es_pick, hard_ls, early_first = best
         return name, es_pick, hard_ls, early_first
-
-    def _force_place(
-        self,
-        graph: DependenceGraph,
-        mrt: ModuloReservationTable,
-        start: dict[str, int],
-        unscheduled: set[str],
-        name: str,
-        es: int,
-        last_forced: dict[str, int],
-        ii: int,
-    ) -> int | None:
-        """Huff's ejection: insist on (roughly) EarlyStart, evict conflicts."""
-        cycle = es
-        if name in last_forced and last_forced[name] >= cycle:
-            cycle = last_forced[name] + 1
-        last_forced[name] = cycle
-        op = graph.operation(name)
-
-        # Evict resource conflicts.
-        for victim in mrt.conflicting_ops(op, cycle):
-            mrt.unplace(graph.operation(victim))
-            start.pop(victim, None)
-            unscheduled.add(victim)
-        if not mrt.place(op, cycle):
-            return None  # class has zero capacity for this span at this II
-
-        # Evict dependence violations caused by the forced cycle.
-        for edge in graph.out_edges(name):
-            if edge.dst == name or edge.dst not in start:
-                continue
-            if start[edge.dst] + edge.distance * ii < cycle + op.latency:
-                self._evict(graph, mrt, start, unscheduled, edge.dst)
-        for edge in graph.in_edges(name):
-            if edge.src == name or edge.src not in start:
-                continue
-            producer = graph.operation(edge.src)
-            if cycle + edge.distance * ii < start[edge.src] + producer.latency:
-                self._evict(graph, mrt, start, unscheduled, edge.src)
-        return cycle
-
-    @staticmethod
-    def _evict(
-        graph: DependenceGraph,
-        mrt: ModuloReservationTable,
-        start: dict[str, int],
-        unscheduled: set[str],
-        victim: str,
-    ) -> None:
-        mrt.unplace(graph.operation(victim))
-        start.pop(victim, None)
-        unscheduled.add(victim)

@@ -30,6 +30,7 @@ from typing import Any
 import numpy as np
 
 from repro.engine.session import SchedulingSession
+from repro.engine.windows import cyclic_frame
 from repro.graph.ddg import DependenceGraph
 from repro.schedulers.base import ModuloScheduler, bidirectional_ladder
 
@@ -67,10 +68,7 @@ def swing_order(graph: DependenceGraph, solved) -> list[str]:
     latencies = np.array(
         [graph.operation(name).latency for name in names], dtype=np.int64
     )
-    asap = np.maximum(dist.max(axis=0), 0)
-    horizon = int((asap + latencies).max())
-    alap = horizon - (dist + latencies[None, :]).max(axis=1)
-    alap = np.maximum(alap, asap)
+    asap, alap = cyclic_frame(dist, latencies)
     mobility = alap - asap
     depth = asap  # shallow critical nodes first: start at a chain's head
 

@@ -2,12 +2,12 @@
 
 Section 4.1 evaluates HRMS on "24 dependence graphs from [8]" — loops
 supplied privately by the SPILP authors and never published in
-machine-readable form.  Per DESIGN.md §3 we substitute 24 hand-written
-kernels drawn from the families that suite was built from: Livermore
-kernels, Whetstone cycles, classic BLAS-1 loops, SPICE-style device-model
-fragments and small recurrences.  They use the paper's Section 4.1 machine
-(1 FP add, 1 FP mul, 1 FP divide, 1 load/store) and latencies (add/sub/
-store 1, mul/load 2, divide 17).
+machine-readable form.  Since they cannot be obtained, we substitute 24
+hand-written kernels drawn from the families that suite was built from:
+Livermore kernels, Whetstone cycles, classic BLAS-1 loops, SPICE-style
+device-model fragments and small recurrences.  They use the paper's
+Section 4.1 machine (1 FP add, 1 FP mul, 1 FP divide, 1 load/store) and
+latencies (add/sub/store 1, mul/load 2, divide 17).
 
 The suite deliberately covers:
 

@@ -3,9 +3,10 @@
 Three graphs:
 
 * :func:`motivating_example` — Section 2 / Figure 1.  The printed figure is
-  garbled in the archival scan, but the scheduling walk-through pins the
-  structure down uniquely (see DESIGN.md §4): seven operations A–G of
-  latency 2 on four general-purpose units, where C and G are stores.  With
+  garbled in the archival scan, but the scheduling walk-through (its
+  placements and its per-method register counts) pins the structure
+  down uniquely: seven operations A–G of latency 2 on four
+  general-purpose units, where C and G are stores.  With
   this graph the library reproduces the paper's numbers exactly — 8
   registers for Top-Down, 7 for Bottom-Up, 6 for HRMS, with HRMS placing
   A@0, B@2, C@4, D@4, E@5, F@7, G@9 at II = 2.

@@ -2,7 +2,8 @@
 
 The paper schedules 1258 innermost DO loops extracted from the Perfect
 Club Benchmark Suite with the ICTINEO compiler — an artefact we cannot
-re-run (see DESIGN.md §3).  This module generates a **seeded, synthetic
+re-run: neither that compiler nor the loops it extracted are
+available.  This module generates a **seeded, synthetic
 population of 1258 loop bodies** whose aggregate statistics follow what
 the paper and its companion report [15] describe for that suite:
 

@@ -11,6 +11,7 @@ sys.path.insert(0, str(REPO_ROOT / "scripts"))
 from check_docs import (  # noqa: E402
     check_docs,
     console_scripts,
+    docstring_md_names,
     local_link_targets,
     repro_names,
     resolves,
@@ -131,6 +132,29 @@ class TestGateTrips:
         )
         assert any("docs/X.md" in p and "'fig99'" in p for p in problems)
 
+    def test_dangling_docstring_md_reported(self, tmp_path):
+        repo = self._repo(
+            tmp_path,
+            "hrms-serve hrms topdown bottomup slack sms ims frlc spilp "
+            "optreg portfolio",
+        )
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "ARCH.md").write_text("# Arch", encoding="utf-8")
+        package = tmp_path / "src" / "pkg"
+        package.mkdir(parents=True)
+        (package / "mod.py").write_text(
+            '"""See docs/ARCH.md and README.md."""\n'
+            "# DESIGN.md in a comment is not a docstring.\n"
+            "def f():\n"
+            '    """Per DESIGN.md §3."""\n',
+            encoding="utf-8",
+        )
+        problems = check_docs(repo)
+        assert problems == [
+            "src/pkg/mod.py cites 'DESIGN.md' in a docstring, which does "
+            "not exist"
+        ]
+
     def test_substring_does_not_satisfy_scheduler_mention(self, tmp_path):
         # "hrms-serve" must not count as a mention of scheduler "hrms"...
         # it does contain it as a word-boundary token, so use a harder
@@ -162,6 +186,20 @@ def test_repro_names_read_inline_code_only(tmp_path):
         encoding="utf-8",
     )
     assert repro_names(md) == ["repro.qa.cli", "repro.engine.warm_start"]
+
+
+def test_docstring_md_names_read_docstrings_only(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text(
+        '"""Module: docs/A.md, then PERFORMANCE.md."""\n'
+        "NOTE = 'B.md'  # C.md\n"
+        "class K:\n"
+        '    """Class: ``x/D.md``; a glob docs/*.md is no name."""\n',
+        encoding="utf-8",
+    )
+    assert docstring_md_names(source) == [
+        "docs/A.md", "PERFORMANCE.md", "x/D.md"
+    ]
 
 
 def test_resolves_modules_and_attributes():
