@@ -68,9 +68,9 @@ class SchedulingSession:
         self.machine = machine
         self._analysis = analysis
         self._analysis_lock = threading.Lock()
-        self._mindist_lock = threading.Lock()
-        #: The graph ``version`` the factors and the memo were built at.
-        self._version: int | None = None
+        self._mindist_lock = threading.RLock()
+        #: The graph ``version`` every derived field below describes.
+        self._version = graph.version
         self._factors = None
         #: II -> (dist, names) | None, LRU oldest-first.
         self._memo: "OrderedDict[int, tuple[np.ndarray, list[str]] | None]" = (
@@ -88,9 +88,27 @@ class SchedulingSession:
         self._scratch = threading.local()
 
     # ------------------------------------------------------------------
+    def _sync(self) -> None:
+        """Drop everything derived from the graph once its O(1)
+        ``version`` has moved (an operation or edge was added or
+        removed since it was derived)."""
+        if self.graph.version == self._version:
+            return
+        with self._mindist_lock:
+            if self.graph.version == self._version:
+                return
+            self._analysis = None
+            self._digest = None
+            self._names = self._op_index = None
+            self._latencies = self._neighbours = None
+            self._factors = None
+            self._memo.clear()
+            self._version = self.graph.version
+
     @property
     def analysis(self) -> "MIIResult":
-        """The MII analysis, computed once per session and shared."""
+        """The MII analysis, computed once per graph version and shared."""
+        self._sync()
         with self._analysis_lock:
             if self._analysis is None:
                 from repro.mii.analysis import compute_mii
@@ -101,6 +119,7 @@ class SchedulingSession:
     @property
     def digest(self) -> str:
         """Content address of the session's graph (wire/cache key)."""
+        self._sync()
         if self._digest is None:
             self._digest = fingerprint_digest(self.graph)
         return self._digest
@@ -108,13 +127,15 @@ class SchedulingSession:
     @property
     def names(self) -> list[str]:
         """Operation names in matrix row order (program order)."""
+        self._sync()
         if self._names is None:
             self._names = self.graph.node_names()
         return self._names
 
     @property
     def op_index(self) -> dict[str, int]:
-        """Name -> matrix row, built once per session."""
+        """Name -> matrix row, built once per graph version."""
+        self._sync()
         if self._op_index is None:
             self._op_index = {
                 name: i for i, name in enumerate(self.names)
@@ -124,7 +145,8 @@ class SchedulingSession:
     @property
     def latencies(self) -> np.ndarray:
         """Operation latencies in matrix row order, built once per
-        session."""
+        graph version."""
+        self._sync()
         if self._latencies is None:
             graph = self.graph
             self._latencies = np.array(
@@ -136,7 +158,8 @@ class SchedulingSession:
     @property
     def neighbours(self) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
         """Name -> (distinct predecessors, distinct successors), self
-        edges removed, built once per session."""
+        edges removed, built once per graph version."""
+        self._sync()
         if self._neighbours is None:
             graph = self.graph
             self._neighbours = {
@@ -158,10 +181,9 @@ class SchedulingSession:
         is factorised afresh and the memo dropped.
         """
         with self._mindist_lock:
-            if self.graph.version != self._version:
-                self._version = self.graph.version
+            self._sync()
+            if self._factors is None:
                 self._factors = factorise(self.graph)
-                self._memo.clear()
             cached = self._memo.get(ii, _MISSING)
             if cached is not _MISSING:
                 self._memo_hits += 1

@@ -8,11 +8,20 @@
 * :class:`~repro.schedulers.slack.SlackScheduler` — Huff's
   lifetime-sensitive slack scheduling [10] with MinDist windows and
   ejection.
+* :class:`~repro.schedulers.sms.SwingScheduler` — Llosa et al.'s Swing
+  Modulo Scheduling, HRMS's successor: a swing ordering placed by the
+  same bidirectional ladder.
+* :class:`~repro.schedulers.ims.IMSScheduler` — Rau's Iterative Modulo
+  Scheduling: height priority with operation displacement.
 * :class:`~repro.schedulers.frlc.FRLCScheduler` — Wang & Eisenbeis's
   decomposed software pipelining [23]; register-insensitive.
 * :class:`~repro.schedulers.spilp.SPILPScheduler` — Govindarajan, Altman &
-  Gao's buffer-minimising integer linear program [8], solved with HiGHS
-  through :func:`scipy.optimize.milp`.
+  Gao's buffer-minimising integer linear program [8].
+* :class:`~repro.schedulers.optreg.OptRegScheduler` — Eichenberger et
+  al.'s register-optimal integer program [7].
+
+The two exact methods share one time-indexed model, solved with HiGHS
+through :func:`scipy.optimize.milp` (:mod:`repro.schedulers.exact`).
 
 All schedulers share :class:`~repro.schedulers.base.ModuloScheduler`:
 ``schedule(graph, machine)`` runs the MII analysis, then tries increasing

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 import time
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro import cancel
 from repro.engine.session import SchedulingSession
@@ -148,6 +148,7 @@ def _ladder_pass(
     if bounds is None:
         return None  # II below RecMII; cannot happen from the driver
     index = session.op_index
+    neighbours = session.neighbours if scan_down >= _SUCCS_ONLY else None
     mrt = session.mrt(ii)
     start: dict[str, int] = {}
     for name in order:
@@ -166,7 +167,7 @@ def _ladder_pass(
             elif scan_down == _ALWAYS:
                 down = True
             else:
-                preds, succs = session.neighbours[name]
+                preds, succs = neighbours[name]
                 down = not start.keys().isdisjoint(succs) and (
                     scan_down == _ANY_SUCC
                     or start.keys().isdisjoint(preds)
@@ -205,6 +206,38 @@ def bidirectional_ladder(
         if result is not None:
             return result
     return None
+
+
+def direct_edge_pass(
+    session: SchedulingSession,
+    ii: int,
+    order: list[str],
+    window: Callable[
+        [str, int | None, int | None, dict[str, int]], Sequence[int] | None
+    ],
+) -> dict[str, int] | None:
+    """Place *order* at *ii* one operation at a time, or return ``None``.
+
+    The list-scheduling pass Top-Down, Bottom-Up and FRLC share: each
+    operation's EarlyStart/LateStart come from its *direct* scheduled
+    neighbours (:func:`early_start`, :func:`late_start`), and
+    ``window(name, es, ls, start)`` — the method's own rule — turns them
+    into the cycles to scan, or ``None`` when they leave no room.
+    """
+    graph = session.graph
+    mrt = session.mrt(ii)
+    start: dict[str, int] = {}
+    for name in order:
+        es = early_start(graph, start, name, ii)
+        ls = late_start(graph, start, name, ii)
+        candidates = window(name, es, ls, start)
+        if candidates is None:
+            return None
+        cycle = mrt.scan_place(graph.operation(name), candidates)
+        if cycle is None:
+            return None
+        start[name] = cycle
+    return start
 
 
 def force_place(

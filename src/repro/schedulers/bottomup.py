@@ -19,9 +19,8 @@ from typing import Any
 from repro.engine.session import SchedulingSession
 from repro.schedulers.base import (
     ModuloScheduler,
+    direct_edge_pass,
     downward_window,
-    early_start,
-    late_start,
 )
 from repro.schedulers.topdown import acyclic_topological_order
 
@@ -44,23 +43,13 @@ class BottomUpScheduler(ModuloScheduler):
         ii: int,
         context: Any,
     ) -> dict[str, int] | None:
-        order: list[str] = context
-        graph = session.graph
-        mrt = session.mrt(ii)
-        start: dict[str, int] = {}
-        for name in order:
-            op = graph.operation(name)
-            es = early_start(graph, start, name, ii)
-            ls = late_start(graph, start, name, ii)
+        def window(name, es, ls, start):
             if ls is None:
                 # Nothing below us yet: align with the latest used cycle so
                 # predecessors keep maximal freedom.
                 ls = max(start.values(), default=0)
             if es is not None and es > ls:
                 return None
-            window = downward_window(ls, ii, es)
-            cycle = mrt.scan_place(op, window)
-            if cycle is None:
-                return None
-            start[name] = cycle
-        return start
+            return downward_window(ls, ii, es)
+
+        return direct_edge_pass(session, ii, context, window)

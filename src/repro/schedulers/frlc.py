@@ -22,8 +22,7 @@ from typing import Any
 from repro.engine.session import SchedulingSession
 from repro.schedulers.base import (
     ModuloScheduler,
-    early_start,
-    late_start,
+    direct_edge_pass,
     upward_window,
 )
 
@@ -43,27 +42,20 @@ class FRLCScheduler(ModuloScheduler):
         context: Any,
     ) -> dict[str, int] | None:
         position: dict[str, int] = context
-        graph = session.graph
         asap = session.cyclic_asap(ii)
         if asap is None:
             return None
-        order = sorted(graph.node_names(), key=lambda n: (asap[n], position[n]))
+        order = sorted(
+            session.graph.node_names(), key=lambda n: (asap[n], position[n])
+        )
 
-        mrt = session.mrt(ii)
-        start: dict[str, int] = {}
-        for name in order:
-            op = graph.operation(name)
-            es = early_start(graph, start, name, ii)
+        def window(name, es, ls, start):
             # The retiming floor keeps every op at or after its cyclic-ASAP
             # time, so recurrence circuits are never stretched beyond
             # distance * II by construction.
             es = max(asap[name], es if es is not None else 0)
-            ls = late_start(graph, start, name, ii)
             if ls is not None and es > ls:
                 return None
-            window = upward_window(es, ii, ls)
-            cycle = mrt.scan_place(op, window)
-            if cycle is None:
-                return None
-            start[name] = cycle
-        return start
+            return upward_window(es, ii, ls)
+
+        return direct_edge_pass(session, ii, order, window)

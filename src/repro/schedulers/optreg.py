@@ -26,184 +26,73 @@ register quality on small loops, the same role [7] plays in the paper's
 discussion.  Cost grows quickly with ``|V| * horizon``; use it on
 Table-1-sized kernels.
 
-The same unpipelined-reservation conservatism as SPILP applies: row
-occupancy relaxes circular-arc unit assignment, an unpackable extracted
-optimum fails the attempt, and the II search continues — the register
+The time-indexed model and its unpipelined-reservation conservatism
+are shared with SPILP (:mod:`repro.schedulers.exact`): the register
 optimum is exact at the II returned, which can exceed the true minimum
 II on unpipelined-saturated loops.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
-from repro.errors import SolverError, SolverTimeoutError
-from repro.graph.ddg import DependenceGraph
 from repro.graph.edges import DependenceKind
-from repro.machine.machine import MachineModel
-from repro.engine.session import SchedulingSession
-from repro.schedulers.base import ModuloScheduler
-from repro.schedulers.spilp import _placement_packable
+from repro.schedulers.exact import ExactScheduler, TimeIndexedModel
 
 
-class OptRegScheduler(ModuloScheduler):
+class OptRegScheduler(ExactScheduler):
     """Register-optimal modulo scheduler (MILP, Eichenberger-style)."""
 
     name = "optreg"
 
-    def __init__(
-        self,
-        max_ii: int | None = None,
-        time_limit: float = 120.0,
-        horizon_slack: int = 2,
-    ) -> None:
-        super().__init__(max_ii=max_ii)
-        self._time_limit = time_limit
-        self._horizon_slack = horizon_slack
-
-    def prepare(self, session: SchedulingSession) -> None:
-        return None
-
-    # ------------------------------------------------------------------
-    def attempt(
-        self,
-        session: SchedulingSession,
-        ii: int,
-        context: Any,
-    ) -> dict[str, int] | None:
-        graph = session.graph
-        machine = session.machine
-        asap = session.cyclic_asap(ii)
-        if asap is None:
-            return None
-        names = graph.node_names()
-        ops = {name: graph.operation(name) for name in names}
-        horizon = (
-            max(asap[n] + ops[n].latency for n in names)
-            + self._horizon_slack * ii
-        )
-        producers = [n for n in names if ops[n].produces_value]
-        n_ops = len(names)
-        index = {name: i for i, name in enumerate(names)}
-        p_index = {name: k for k, name in enumerate(producers)}
+    def add_objective(self, model: TimeIndexedModel) -> None:
+        graph, ii = model.graph, model.ii
+        producers = [n for n in model.names if model.ops[n].produces_value]
         n_p = len(producers)
+        max_quot = model.horizon // ii + 2
 
-        # Variable layout:
-        #   x[v, t]                 n_ops * horizon      binary
-        #   e[v]                    n_p                  integer
-        #   qe[v, r], qs[v, r]      2 * n_p * ii         integer (floors)
-        #   be[v, r], bs[v, r]      2 * n_p * ii         integer remainders
-        #   R                       1                    integer
-        x_base = 0
-        e_base = n_ops * horizon
-        qe_base = e_base + n_p
-        qs_base = qe_base + n_p * ii
-        be_base = qs_base + n_p * ii
-        bs_base = be_base + n_p * ii
-        r_col = bs_base + n_p * ii
-        n_vars = r_col + 1
-
-        max_quot = horizon // ii + 2
-
-        def xcol(name: str, t: int) -> int:
-            return x_base + index[name] * horizon + t
-
-        def time_entries(name: str, sign: float) -> list[tuple[int, float]]:
-            return [(xcol(name, t), sign * t) for t in range(1, horizon)]
-
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        lower: list[float] = []
-        upper: list[float] = []
-        row_count = 0
-
-        def add_row(
-            entries: list[tuple[int, float]], lb: float, ub: float
-        ) -> None:
-            nonlocal row_count
-            for col, val in entries:
-                rows.append(row_count)
-                cols.append(col)
-                vals.append(val)
-            lower.append(lb)
-            upper.append(ub)
-            row_count += 1
-
-        # (1) each operation issues exactly once.
-        for name in names:
-            add_row([(xcol(name, t), 1.0) for t in range(horizon)], 1.0, 1.0)
-
-        # (2) dependences: t_v - t_u >= latency(u) - delta * II.
-        for edge in graph.edges():
-            if edge.src == edge.dst:
-                continue  # guaranteed by II >= RecMII
-            entries = time_entries(edge.dst, +1.0) + time_entries(
-                edge.src, -1.0
-            )
-            add_row(
-                entries, ops[edge.src].latency - edge.distance * ii, np.inf
-            )
-
-        # (3) modulo resource constraints per unit class and kernel row.
-        for unit in machine.unit_classes():
-            members = [
-                name
-                for name in names
-                if machine.class_for(ops[name]).name == unit.name
-            ]
-            if not members:
-                continue
-            for row in range(ii):
-                entries = []
-                for name in members:
-                    span = machine.reservation_cycles(ops[name])
-                    if span > ii:
-                        return None
-                    for t in range(horizon):
-                        if any((t + j) % ii == row for j in range(span)):
-                            entries.append((xcol(name, t), 1.0))
-                add_row(entries, -np.inf, float(unit.count))
+        # Columns after x[v, t], all integer:
+        #   e[v]                    n_p        lifetime end
+        #   qe[v, r], qs[v, r]      n_p * ii   floors (tie-break costs)
+        #   be[v, r], bs[v, r]      n_p * ii   remainders in [0, II)
+        #   R                       1          the objective
+        # The sub-unit lifetime tie-break makes the solver prefer
+        # compact schedules among register-optimal ones.
+        tiebreak = 1.0 / (2.0 * n_p * (max_quot + 2) * ii + 1.0)
+        e_base = model.add_vars(n_p, upper=model.horizon + max_quot * ii)
+        qe_base = model.add_vars(n_p * ii, -max_quot, max_quot, tiebreak)
+        qs_base = model.add_vars(n_p * ii, -max_quot, max_quot, -tiebreak)
+        be_base = model.add_vars(n_p * ii, upper=ii - 1)
+        bs_base = model.add_vars(n_p * ii, upper=ii - 1)
+        r_col = model.add_vars(1, upper=n_p * (max_quot + 2), cost=1.0)
 
         # (4) lifetime ends: e_v >= t_w + delta*II per register consumer,
         #     and e_v >= t_v.
-        for name in producers:
-            e_col = e_base + p_index[name]
-            add_row(
-                [(e_col, 1.0)] + time_entries(name, -1.0), 0.0, np.inf
+        for k, name in enumerate(producers):
+            e_col = e_base + k
+            model.add_row(
+                [(e_col, 1.0)] + model.time_entries(name, -1.0), 0.0, np.inf
             )
             for edge in graph.out_edges(name):
                 if edge.kind is not DependenceKind.REGISTER:
                     continue
-                entries = [(e_col, 1.0)]
-                if edge.dst == name:
-                    entries += time_entries(name, -1.0)
-                else:
-                    entries += time_entries(edge.dst, -1.0)
-                add_row(entries, float(edge.distance * ii), np.inf)
+                entries = [(e_col, 1.0)] + model.time_entries(edge.dst, -1.0)
+                model.add_row(entries, float(edge.distance * ii), np.inf)
 
         # (5) floor linearisation: e_v - r - 1 = II*qe + be (0<=be<II),
         #     t_v - r - 1 = II*qs + bs.
-        for name in producers:
-            k = p_index[name]
-            e_col = e_base + k
+        for k, name in enumerate(producers):
             for row in range(ii):
-                qe = qe_base + k * ii + row
-                be = be_base + k * ii + row
-                add_row(
-                    [(e_col, 1.0), (qe, -float(ii)), (be, -1.0)],
+                j = k * ii + row
+                model.add_row(
+                    [(e_base + k, 1.0), (qe_base + j, -float(ii)),
+                     (be_base + j, -1.0)],
                     float(row + 1),
                     float(row + 1),
                 )
-                qs = qs_base + k * ii + row
-                bs = bs_base + k * ii + row
-                add_row(
-                    time_entries(name, +1.0)
-                    + [(qs, -float(ii)), (bs, -1.0)],
+                model.add_row(
+                    model.time_entries(name, +1.0)
+                    + [(qs_base + j, -float(ii)), (bs_base + j, -1.0)],
                     float(row + 1),
                     float(row + 1),
                 )
@@ -211,76 +100,7 @@ class OptRegScheduler(ModuloScheduler):
         # (6) R bounds every row's live count: R - sum_v (qe - qs) >= 0.
         for row in range(ii):
             entries: list[tuple[int, float]] = [(r_col, 1.0)]
-            for name in producers:
-                k = p_index[name]
+            for k in range(n_p):
                 entries.append((qe_base + k * ii + row, -1.0))
                 entries.append((qs_base + k * ii + row, +1.0))
-            add_row(entries, 0.0, np.inf)
-
-        # Objective: R, with a sub-unit lifetime tie-break so the solver
-        # prefers compact schedules among register-optimal ones.
-        objective = np.zeros(n_vars)
-        objective[r_col] = 1.0
-        tiebreak = 1.0 / (2.0 * n_p * (max_quot + 2) * ii + 1.0)
-        for name in producers:
-            k = p_index[name]
-            for row in range(ii):
-                objective[qe_base + k * ii + row] += tiebreak
-                objective[qs_base + k * ii + row] -= tiebreak
-
-        lb_vars = np.zeros(n_vars)
-        ub_vars = np.ones(n_vars)
-        # e: [0, horizon + b_cap * ii]
-        e_cap = float(horizon + max_quot * ii)
-        for k in range(n_p):
-            ub_vars[e_base + k] = e_cap
-        for base in (qe_base, qs_base):
-            for j in range(n_p * ii):
-                lb_vars[base + j] = -float(max_quot)
-                ub_vars[base + j] = float(max_quot)
-        for base in (be_base, bs_base):
-            for j in range(n_p * ii):
-                ub_vars[base + j] = float(ii - 1)
-        ub_vars[r_col] = float(n_p * (max_quot + 2))
-
-        result = milp(
-            c=objective,
-            constraints=[
-                LinearConstraint(
-                    sparse.csr_matrix(
-                        (vals, (rows, cols)), shape=(row_count, n_vars)
-                    ),
-                    np.array(lower),
-                    np.array(upper),
-                )
-            ],
-            bounds=Bounds(lb_vars, ub_vars),
-            integrality=np.ones(n_vars),
-            options={"time_limit": self._time_limit, "presolve": True},
-        )
-
-        if result.status == 2:  # infeasible at this II
-            return None
-        if result.x is None:
-            if result.status == 1:  # iteration/time limit, no incumbent
-                raise SolverTimeoutError(
-                    f"optreg timed out on {graph.name!r} at II={ii} "
-                    f"(limit {self._time_limit}s, no incumbent): "
-                    f"{result.message}"
-                )
-            raise SolverError(
-                f"optreg failed on {graph.name!r} at II={ii}: "
-                f"{result.message}"
-            )
-
-        start: dict[str, int] = {}
-        for name in names:
-            base = index[name] * horizon
-            column = result.x[base : base + horizon]
-            start[name] = int(np.argmax(column))
-        if not _placement_packable(graph, machine, ii, start):
-            # Row occupancy is a relaxation of unit assignment for
-            # unpipelined reservations (see SPILP); an unrealizable
-            # placement fails this attempt rather than the whole study.
-            return None
-        return start
+            model.add_row(entries, 0.0, np.inf)

@@ -10,240 +10,42 @@ requirements at the smallest feasible II (the driver iterates II upward,
 exactly like the original).
 
 The original used the OSL solver; we solve the identical formulation with
-HiGHS through :func:`scipy.optimize.milp`.
-
-One known conservatism: the modulo resource constraints bound per-row
-*occupancy*, which for unpipelined multi-row reservations is a
-relaxation of circular-arc unit assignment.  An extracted optimum that
-fails the exact packer is treated as infeasible at that II and the
-search moves on — so on unpipelined-saturated loops the reported II can
-exceed the true minimum when a *different* relaxed-feasible placement
-at the skipped II would have packed (closing that gap needs no-good
-cuts and a re-solve loop).  Buffer optimality still holds at the II
-actually returned.  The paper's observation that
-SPILP costs orders of magnitude more time than the heuristics reproduces
-directly — one Livermore-style loop with a long divide chain dominates the
-total, mirroring the paper's Loop 23 anecdote.
+HiGHS through :func:`scipy.optimize.milp`.  The time-indexed model is
+shared with OptReg (:mod:`repro.schedulers.exact`, which also documents
+its unpipelined-reservation conservatism); this module adds only the
+buffers.  The paper's observation that SPILP costs orders of magnitude
+more time than the heuristics reproduces directly — one Livermore-style
+loop with a long divide chain dominates the total, mirroring the
+paper's Loop 23 anecdote.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
-from repro.errors import SolverError, SolverTimeoutError
-from repro.graph.ddg import DependenceGraph
 from repro.graph.edges import DependenceKind
-from repro.machine.machine import MachineModel
-from repro.engine.session import SchedulingSession
-from repro.schedulers.base import ModuloScheduler
+from repro.schedulers.exact import ExactScheduler, TimeIndexedModel
 
 
-def _placement_packable(
-    graph: DependenceGraph,
-    machine: MachineModel,
-    ii: int,
-    start: dict[str, int],
-) -> bool:
-    """Exact unit-assignment check for an extracted MILP placement.
-
-    Shared by SPILP and OptReg: both formulations bound kernel-row
-    occupancy, which is exact for pipelined classes but a relaxation
-    for unpipelined multi-row reservations, so extracted placements
-    must pass circular-arc packing before they are accepted.
-    """
-    from repro.schedule.verify import arcs_packable
-
-    by_class: dict[str, list[tuple[int, int, str]]] = {}
-    for name, cycle in start.items():
-        op = graph.operation(name)
-        unit = machine.class_for(op)
-        span = machine.reservation_cycles(op)
-        by_class.setdefault(unit.name, []).append(
-            (cycle % ii, span, name)
-        )
-    for unit in machine.unit_classes():
-        arcs = by_class.get(unit.name)
-        if arcs and not arcs_packable(arcs, unit.count, ii):
-            return False
-    return True
-
-
-class SPILPScheduler(ModuloScheduler):
+class SPILPScheduler(ExactScheduler):
     """Optimal buffer-minimising modulo scheduler (MILP)."""
 
     name = "spilp"
 
-    def __init__(
-        self,
-        max_ii: int | None = None,
-        time_limit: float = 120.0,
-        horizon_slack: int = 2,
-    ) -> None:
-        super().__init__(max_ii=max_ii)
-        self._time_limit = time_limit
-        self._horizon_slack = horizon_slack
-
-    def prepare(self, session: SchedulingSession) -> None:
-        return None
-
-    # ------------------------------------------------------------------
-    def attempt(
-        self,
-        session: SchedulingSession,
-        ii: int,
-        context: Any,
-    ) -> dict[str, int] | None:
-        graph = session.graph
-        machine = session.machine
-        asap = session.cyclic_asap(ii)
-        if asap is None:
-            return None
-        names = graph.node_names()
-        ops = {name: graph.operation(name) for name in names}
-        horizon = (
-            max(asap[n] + ops[n].latency for n in names)
-            + self._horizon_slack * ii
+    def add_objective(self, model: TimeIndexedModel) -> None:
+        graph, ii = model.graph, model.ii
+        producers = [n for n in model.names if model.ops[n].produces_value]
+        base = model.add_vars(
+            len(producers), upper=model.horizon // ii + 2, cost=1.0
         )
-        n_ops = len(names)
-        index = {name: i for i, name in enumerate(names)}
-        producers = [n for n in names if ops[n].produces_value]
-        b_index = {
-            name: n_ops * horizon + k for k, name in enumerate(producers)
-        }
-        n_vars = n_ops * horizon + len(producers)
-        b_cap = horizon // ii + 2
-
-        def xcol(name: str, t: int) -> int:
-            return index[name] * horizon + t
-
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        lower: list[float] = []
-        upper: list[float] = []
-        row_count = 0
-
-        def add_row(
-            entries: list[tuple[int, float]], lb: float, ub: float
-        ) -> None:
-            nonlocal row_count
-            for col, val in entries:
-                rows.append(row_count)
-                cols.append(col)
-                vals.append(val)
-            lower.append(lb)
-            upper.append(ub)
-            row_count += 1
-
-        # (1) each operation issues exactly once.
-        for name in names:
-            add_row([(xcol(name, t), 1.0) for t in range(horizon)], 1.0, 1.0)
-
-        # Issue-time expression t_v = sum(t * x[v, t]) reused below.
-        def time_entries(name: str, sign: float) -> list[tuple[int, float]]:
-            return [
-                (xcol(name, t), sign * t) for t in range(1, horizon)
-            ]
-
-        # (2) dependences: t_v - t_u >= latency(u) - delta * II.
-        for edge in graph.edges():
-            if edge.src == edge.dst:
-                continue  # guaranteed by II >= RecMII
-            entries = time_entries(edge.dst, +1.0) + time_entries(
-                edge.src, -1.0
-            )
-            lb = ops[edge.src].latency - edge.distance * ii
-            add_row(entries, lb, np.inf)
-
-        # (3) modulo resource constraints per unit class and kernel row.
-        for unit in machine.unit_classes():
-            members = [
-                name
-                for name in names
-                if machine.class_for(ops[name]).name == unit.name
-            ]
-            if not members:
-                continue
-            for row in range(ii):
-                entries = []
-                for name in members:
-                    span = machine.reservation_cycles(ops[name])
-                    if span > ii:
-                        return None  # unpipelined op cannot repeat at this II
-                    for t in range(horizon):
-                        if any(
-                            (t + j) % ii == row for j in range(span)
-                        ):
-                            entries.append((xcol(name, t), 1.0))
-                add_row(entries, -np.inf, float(unit.count))
 
         # (4) buffers: II * b_v >= t_c + delta * II - t_v per consumer.
-        for name in producers:
+        for k, name in enumerate(producers):
             for edge in graph.out_edges(name):
                 if edge.kind is not DependenceKind.REGISTER:
                     continue
-                entries = [(b_index[name], float(ii))]
+                entries = [(base + k, float(ii))]
                 if edge.dst != name:
-                    entries += time_entries(name, +1.0)
-                    entries += time_entries(edge.dst, -1.0)
-                add_row(entries, float(edge.distance * ii), np.inf)
-
-        objective = np.zeros(n_vars)
-        for name in producers:
-            objective[b_index[name]] = 1.0
-
-        lb_vars = np.zeros(n_vars)
-        ub_vars = np.ones(n_vars)
-        for name in producers:
-            ub_vars[b_index[name]] = b_cap
-        integrality = np.ones(n_vars)
-
-        constraint = LinearConstraint(
-            sparse.csr_matrix(
-                (vals, (rows, cols)), shape=(row_count, n_vars)
-            ),
-            np.array(lower),
-            np.array(upper),
-        )
-        result = milp(
-            c=objective,
-            constraints=[constraint],
-            bounds=Bounds(lb_vars, ub_vars),
-            integrality=integrality,
-            options={"time_limit": self._time_limit, "presolve": True},
-        )
-
-        if result.status == 2:  # infeasible at this II
-            return None
-        if result.x is None:
-            if result.status == 1:  # iteration/time limit, no incumbent
-                raise SolverTimeoutError(
-                    f"SPILP timed out on {graph.name!r} at II={ii} "
-                    f"(limit {self._time_limit}s, no incumbent): "
-                    f"{result.message}"
-                )
-            raise SolverError(
-                f"SPILP failed on {graph.name!r} at II={ii}: "
-                f"{result.message}"
-            )
-
-        start: dict[str, int] = {}
-        for name in names:
-            base = index[name] * horizon
-            column = result.x[base : base + horizon]
-            start[name] = int(np.argmax(column))
-        if not _placement_packable(graph, machine, ii, start):
-            # Constraint (3) bounds per-row *occupancy*, which for
-            # unpipelined multi-row reservations is only a relaxation of
-            # unit assignment: three 30-cycle arcs can saturate every
-            # row of two units at II=45 yet admit no assignment (found
-            # by the QA campaign — tests/corpus/).  An exact circular-
-            # arc check decides; an unrealizable placement fails the
-            # attempt so the driver continues the II search instead of
-            # crashing mid-study.
-            return None
-        return start
+                    entries += model.time_entries(name, +1.0)
+                    entries += model.time_entries(edge.dst, -1.0)
+                model.add_row(entries, float(edge.distance * ii), np.inf)

@@ -24,8 +24,7 @@ from repro.mii.analysis import MIIResult
 from repro.mii.recurrences import all_backward_edge_keys
 from repro.schedulers.base import (
     ModuloScheduler,
-    early_start,
-    late_start,
+    direct_edge_pass,
     upward_window,
 )
 
@@ -53,20 +52,10 @@ class TopDownScheduler(ModuloScheduler):
         ii: int,
         context: Any,
     ) -> dict[str, int] | None:
-        order: list[str] = context
-        graph = session.graph
-        mrt = session.mrt(ii)
-        start: dict[str, int] = {}
-        for name in order:
-            op = graph.operation(name)
-            es = early_start(graph, start, name, ii)
-            ls = late_start(graph, start, name, ii)
+        def window(name, es, ls, start):
             es = 0 if es is None else es
             if ls is not None and es > ls:
                 return None
-            window = upward_window(es, ii, ls)
-            cycle = mrt.scan_place(op, window)
-            if cycle is None:
-                return None
-            start[name] = cycle
-        return start
+            return upward_window(es, ii, ls)
+
+        return direct_edge_pass(session, ii, context, window)

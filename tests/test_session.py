@@ -286,6 +286,38 @@ class TestMutationGuard:
         assert graph.version == version + 1
         assert clone.version == clone_version
 
+    @pytest.mark.parametrize(
+        "scheduler",
+        ["hrms", "sms", "slack", "ims", "topdown", "bottomup", "frlc"],
+    )
+    def test_mutated_graph_schedules_like_a_fresh_session(self, scheduler):
+        """Every graph-derived field (names, row index, latencies,
+        neighbours, digest, MII analysis) follows the version guard, not
+        only the MinDist memo."""
+        from repro.graph.edges import Edge
+        from repro.graph.ops import Operation
+        from repro.machine.configs import govindarajan_machine
+        from repro.schedulers.registry import make_scheduler
+        from repro.workloads.govindarajan import govindarajan_suite
+
+        machine = govindarajan_machine()
+        (graph,) = [
+            loop.graph for loop in govindarajan_suite() if loop.name == "liv1"
+        ]
+        session = SchedulingSession(graph, machine)
+        make_scheduler(scheduler).schedule(graph, machine, session=session)
+        digest = session.digest
+        graph.add_operation(Operation("extra", latency=3, opclass="fdiv"))
+        graph.add_edge(Edge("a2", "extra"))
+        mutated = make_scheduler(scheduler).schedule(
+            graph, machine, session=session
+        )
+        fresh = make_scheduler(scheduler).schedule(graph, machine)
+        assert (mutated.ii, mutated.start) == (fresh.ii, fresh.start)
+        assert "extra" in mutated.start
+        assert session.analysis.mii == compute_mii(graph, machine).mii
+        assert session.digest != digest
+
 
 class TestSchedulingSession:
     def test_analysis_computed_once(self):
