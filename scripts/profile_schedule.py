@@ -16,16 +16,21 @@ Usage::
     PYTHONPATH=src python scripts/profile_schedule.py --out profile.pstats
 
 ``--out`` saves the raw stats for ``snakeviz``/``pstats`` digging; the
-printed report is always emitted.
+printed report is always emitted.  Under it, two lines give the garbage
+collector's pause time and collections per generation (from
+``gc.callbacks``) during the MII analysis and during the profiled cell,
+so allocation-heavy layers show up as GC cost, not only as their own.
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import pstats
 import random
 import sys
+import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -44,6 +49,38 @@ from repro.workloads.synthetic import random_ddg  # noqa: E402
 #: use (seed offset 1 — a deep, ~45-attempt II search).
 DEFAULT_SIZE = 160
 DEFAULT_SEED_OFFSET = 1
+
+
+class GcPauses:
+    """Garbage-collector pause seconds and collections per generation,
+    recorded from ``gc.callbacks`` while the ``with`` block runs."""
+
+    def __init__(self) -> None:
+        self.seconds = 0.0
+        self.collections = [0, 0, 0]
+        self._began: float | None = None
+
+    def _observe(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._began = time.perf_counter()
+        elif self._began is not None:
+            self.seconds += time.perf_counter() - self._began
+            self.collections[info["generation"]] += 1
+            self._began = None
+
+    def __enter__(self) -> GcPauses:
+        gc.callbacks.append(self._observe)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        gc.callbacks.remove(self._observe)
+
+    def summary(self) -> str:
+        per_generation = "/".join(map(str, self.collections))
+        return (
+            f"{self.seconds:.4f} s in {sum(self.collections)} collections "
+            f"(generation 0/1/2: {per_generation})"
+        )
 
 
 def resolve_graph(args: argparse.Namespace):
@@ -127,7 +164,8 @@ def main(argv: list[str] | None = None) -> int:
     # The MII analysis is deliberately *outside* the profiled region:
     # it is II-independent setup work shared by every mode, and the
     # interesting deltas live in the per-II search.
-    analysis = compute_mii(graph, machine)
+    with GcPauses() as analysis_gc:
+        analysis = compute_mii(graph, machine)
     scheduler = make_scheduler(args.scheduler)
 
     def cell() -> None:
@@ -136,9 +174,10 @@ def main(argv: list[str] | None = None) -> int:
             scheduler.schedule(graph, machine, analysis, session=session)
 
     profiler = cProfile.Profile()
-    profiler.enable()
-    cell()
-    profiler.disable()
+    with GcPauses() as cell_gc:
+        profiler.enable()
+        cell()
+        profiler.disable()
 
     # One un-profiled run to report the search shape alongside the
     # numbers (cProfile inflates wall time; the shape does not change).
@@ -155,6 +194,8 @@ def main(argv: list[str] | None = None) -> int:
         stats.dump_stats(args.out)
         print(f"profile_schedule: raw stats -> {args.out}")
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
+    print(f"profile_schedule: gc during compute_mii: {analysis_gc.summary()}")
+    print(f"profile_schedule: gc during the profiled cell: {cell_gc.summary()}")
     return 0
 
 

@@ -3,7 +3,10 @@
 Recurrence analysis needs every elementary circuit of the dependence graph:
 RecMII is a maximum over circuits, and the pre-ordering phase groups
 circuits into *recurrence subgraphs* keyed by their sets of loop-carried
-("backward") edges (Section 3.2).
+("backward") edges (Section 3.2).  Neither needs the circuits themselves,
+only per-group totals, so the search folds each circuit into its group the
+moment it closes and builds :class:`Circuit` objects only when a caller
+reads them.
 
 Parallel edges: for a given cycle of *nodes*, the circuit that most
 restricts RecMII is the one using the minimum-distance edge on every hop
@@ -26,17 +29,22 @@ cost:
   followed, per root, by a forward/backward reachability intersection
   inside the root's top-level SCC; roots in trivial top-level SCCs are
   skipped outright.
-* **Per-circuit values.**  The DFS stack carries the running latency
-  sum, distance sum and backward-edge mask of the current path, so a
-  closed circuit is born with its :attr:`Circuit.latency`,
-  :attr:`Circuit.distance` and :attr:`Circuit.backward_keys` (one shared
-  frozenset per distinct mask).  RecMII and the recurrence-subgraph
-  grouping read them in O(1) per circuit.
+* **Fold on close.**  The DFS carries the running latency sum, distance
+  sum, backward-edge mask and node-set mask of the current path.  A
+  closed circuit updates one dict entry keyed by its backward mask (node
+  mask OR, largest ``ceil(latency / distance)``, first appearance) and
+  is otherwise forgotten: a few integer operations, no allocation.
+* **Circuits on demand.**  :class:`CircuitEnumeration` knows the exact
+  count and the groups.  Iterating, indexing or comparing it re-runs the
+  same search once with path recording on and caches the list.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import NamedTuple
 
 from repro.errors import CircuitLimitExceeded
 from repro.graph.ddg import DependenceGraph
@@ -46,6 +54,10 @@ from repro.graph.traversal import strongly_connected
 #: Safety cap — graphs in this domain have few circuits; a pathological
 #: generator output should fail loudly rather than hang.
 DEFAULT_MAX_CIRCUITS = 50_000
+
+#: What one search reads from the graph: node names and latencies in
+#: program order, and the edges.
+_SearchInputs = tuple[tuple[str, ...], tuple[int, ...], tuple[Edge, ...]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,6 +80,80 @@ class Circuit:
     )
 
 
+class CircuitGroup(NamedTuple):
+    """The circuits sharing one backward-edge set, folded together."""
+
+    #: Keys of the loop-carried edges every circuit of the group closes.
+    backward_keys: frozenset[tuple[str, str, int, str]]
+    #: Bit ``i`` is set when the ``i``-th node in program order lies on
+    #: one of the group's circuits.
+    node_mask: int
+    #: ``max(1, ceil(latency / distance))`` over the group's circuits;
+    #: zero-distance circuits are left out (see
+    #: :attr:`CircuitEnumeration.zero_distance_root`).
+    recmii: int
+
+
+class CircuitEnumeration(Sequence[Circuit]):
+    """The result of :func:`elementary_circuits`: a read-only sequence of
+    circuits whose length and recurrence groups are known up front.
+
+    ``len()`` costs nothing.  The first read of a circuit (iteration,
+    indexing, ``==``) re-runs the search with path recording on and
+    caches the list.
+    """
+
+    def __init__(
+        self,
+        inputs: _SearchInputs,
+        count: int,
+        groups: tuple[CircuitGroup, ...],
+        zero_distance_root: str | None,
+    ) -> None:
+        # Only the search's inputs are kept, not its tables: a cached
+        # analysis of a loop without circuits then holds three tuples.
+        self._inputs = inputs
+        self._count = count
+        self._circuits: list[Circuit] | None = None
+        #: Node names in program order; bit ``i`` of a group's node mask
+        #: is ``names[i]``.
+        self.names: tuple[str, ...] = inputs[0]
+        #: One entry per distinct backward-edge set, in the order the
+        #: sets first appear in the circuit sequence.
+        self.groups = groups
+        #: The ring start of the first zero-distance circuit in sequence
+        #: order, or ``None`` when every circuit has positive distance.
+        self.zero_distance_root = zero_distance_root
+
+    def __len__(self) -> int:
+        return self._count
+
+    def _materialised(self) -> list[Circuit]:
+        if self._circuits is None:
+            search = _Johnson(*self._inputs)
+            _, _, _, self._circuits = search.run(self._count, record=True)
+        return self._circuits
+
+    def __getitem__(self, index):
+        return self._materialised()[index]
+
+    def __iter__(self) -> Iterator[Circuit]:
+        return iter(self._materialised())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, CircuitEnumeration):
+            other = other._materialised()
+        return self._materialised() == other
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"<CircuitEnumeration of {self._count} circuits in "
+            f"{len(self.groups)} groups>"
+        )
+
+
 def _reach(start: int, links: list[list[int]], allowed: set[int]) -> set[int]:
     """Nodes of *allowed* reachable from *start* along *links*."""
     seen = {start}
@@ -82,7 +168,7 @@ def _reach(start: int, links: list[list[int]], allowed: set[int]) -> set[int]:
 
 def elementary_circuits(
     graph: DependenceGraph, max_circuits: int = DEFAULT_MAX_CIRCUITS
-) -> list[Circuit]:
+) -> CircuitEnumeration:
     """All elementary circuits of *graph* via Johnson's algorithm.
 
     Self-loops are returned as single-node circuits.  Node cycles are
@@ -95,50 +181,35 @@ def elementary_circuits(
     the circuits found so far exceed *max_circuits*; self-loops alone
     never raise.
     """
-    search = _Johnson(graph)
-    count = len(search.names)
-    budget = max_circuits - sum(
-        (node, node) in search.hop_info for node in range(count)
+    names = tuple(graph.node_names())
+    inputs = (
+        names,
+        tuple(graph.operation(name).latency for name in names),
+        tuple(graph.edges()),
     )
-    component = strongly_connected(search.successors)
-    members: dict[int, set[int]] = {}
-    for node in range(count):
-        members.setdefault(component[node], set()).add(node)
-
-    circuits: list[Circuit] = []
-    for root in range(count):
-        if (root, root) in search.hop_info:
-            circuits.append(search.self_loop(root))
-        allowed = {node for node in members[component[root]] if node >= root}
-        if len(allowed) < 2:
-            continue
-        scc = _reach(root, search.successors, allowed) & _reach(
-            root, search.predecessors, allowed
-        )
-        if len(scc) < 2:
-            continue
-        found = search.circuits_from(root, scc, budget)
-        if found is None:
-            raise CircuitLimitExceeded(
-                f"more than {max_circuits} elementary circuits"
-            )
-        budget -= len(found)
-        circuits.extend(found)
-    return circuits
+    count, groups, zero_root, _ = _Johnson(*inputs).run(
+        max_circuits, record=False
+    )
+    return CircuitEnumeration(inputs, count, groups, zero_root)
 
 
 class _Johnson:
     """Graph-wide tables for the per-root searches: int adjacency, the
-    hop table, node latencies and the backward-key cache."""
+    hop table, node latencies and the backward-key cache, built from the
+    node names and latencies in program order and the edge list."""
 
-    def __init__(self, graph: DependenceGraph) -> None:
-        names = graph.node_names()
+    def __init__(
+        self,
+        names: tuple[str, ...],
+        latency: tuple[int, ...],
+        edges: tuple[Edge, ...],
+    ) -> None:
         position = {name: i for i, name in enumerate(names)}
         self.names = names
-        self.latency = [graph.operation(name).latency for name in names]
+        self.latency = latency
         # Canonical (first minimal-distance) edge per hop (i, j).
         hops: dict[tuple[int, int], Edge] = {}
-        for edge in graph.edges():
+        for edge in edges:
             hop = (position[edge.src], position[edge.dst])
             best = hops.get(hop)
             if best is None or edge.distance < best.distance:
@@ -172,28 +243,128 @@ class _Johnson:
             )
         return keys
 
-    def self_loop(self, node: int) -> Circuit:
-        _, edge, distance, bit = self.hop_info[node, node]
-        return Circuit(
-            nodes=(self.names[node],),
-            edges=(edge,),
-            latency=self.latency[node],
-            distance=distance,
-            backward_keys=self.backward_keys(bit),
+    def run(
+        self, max_circuits: int, record: bool
+    ) -> tuple[
+        int, tuple[CircuitGroup, ...], str | None, list[Circuit] | None
+    ]:
+        """One enumeration: ``(count, groups, zero-distance root,
+        circuits)``; the circuit list is ``None`` unless *record*.
+
+        Each root's circuits close in discovery order and are folded into
+        per-root groups that remember their smallest ``(order key,
+        discovery index)``.  Merging those into the graph-wide groups in
+        that order (the root's self-loop first) inserts every backward
+        mask where it first appears in the sorted circuit sequence.
+        """
+        count = len(self.names)
+        hop_info = self.hop_info
+        latency = self.latency
+        budget = max_circuits - sum(
+            (node, node) in hop_info for node in range(count)
         )
+        component = strongly_connected(self.successors)
+        members: dict[int, set[int]] = {}
+        for node in range(count):
+            members.setdefault(component[node], set()).add(node)
+
+        total = 0
+        zero_root: int | None = None
+        # backward mask -> [node mask, recmii], in first-appearance order.
+        groups: dict[int, list[int]] = {}
+        circuits: list[Circuit] | None = [] if record else None
+
+        def merge(mask: int, nodes: int, ratio: int) -> None:
+            group = groups.get(mask)
+            if group is None:
+                groups[mask] = [nodes, max(1, ratio)]
+            else:
+                group[0] |= nodes
+                if ratio > group[1]:
+                    group[1] = ratio
+
+        for root in range(count):
+            loop = hop_info.get((root, root))
+            if loop is not None:
+                _, edge, distance, bit = loop
+                total += 1
+                if not distance and zero_root is None:
+                    zero_root = root
+                merge(
+                    bit,
+                    1 << root,
+                    -(-latency[root] // distance) if distance else 0,
+                )
+                if circuits is not None:
+                    circuits.append(
+                        Circuit(
+                            nodes=(self.names[root],),
+                            edges=(edge,),
+                            latency=latency[root],
+                            distance=distance,
+                            backward_keys=self.backward_keys(bit),
+                        )
+                    )
+            allowed = {node for node in members[component[root]] if node >= root}
+            if len(allowed) < 2:
+                continue
+            scc = _reach(root, self.successors, allowed) & _reach(
+                root, self.predecessors, allowed
+            )
+            if len(scc) < 2:
+                continue
+            searched = self.circuits_from(root, scc, budget, circuits)
+            if searched is None:
+                raise CircuitLimitExceeded(
+                    f"more than {max_circuits} elementary circuits"
+                )
+            closed, root_groups, zero = searched
+            budget -= closed
+            total += closed
+            if zero and zero_root is None:
+                zero_root = root
+            # Per-root node masks weigh the earliest position most (bit
+            # ``top - node``); the graph-wide masks use bit ``node``.
+            top = max(scc)
+            for mask, (reversed_nodes, ratio, _, _) in sorted(
+                root_groups.items(), key=lambda item: item[1][2:]
+            ):
+                nodes = 0
+                while reversed_nodes:
+                    low = reversed_nodes & -reversed_nodes
+                    nodes |= 1 << (top + 1 - low.bit_length())
+                    reversed_nodes ^= low
+                merge(mask, nodes, ratio)
+
+        folded = tuple(
+            CircuitGroup(self.backward_keys(mask), nodes, ratio)
+            for mask, (nodes, ratio) in groups.items()
+        )
+        zero_name = None if zero_root is None else self.names[zero_root]
+        return total, folded, zero_name, circuits
 
     def circuits_from(
-        self, root: int, scc: set[int], budget: int
-    ) -> list[Circuit] | None:
+        self,
+        root: int,
+        scc: set[int],
+        budget: int,
+        record: list[Circuit] | None,
+    ) -> tuple[int, dict[int, list[int]], bool] | None:
         """Johnson's backtracking search for the circuits through *root*
-        inside *scc*, sorted by length, then by their sorted node
-        positions, then in discovery order.  ``None`` once more than
-        *budget* circuits turn up.
+        inside *scc*: ``(circuit count, groups, zero distance seen)``,
+        or ``None`` once more than *budget* circuits turn up.
+
+        *groups* maps a backward mask to ``[node mask, largest ratio,
+        order key, discovery index]``, the last two for the group's
+        earliest circuit in the sorted order (length, then sorted node
+        positions, then discovery).  When *record* is a list, the
+        root's circuits are appended to it in that order.
 
         The current path's running values live in locals; entering a
-        node saves its parent's values on one stack.  Each adjacency
-        entry carries its hop's edge, distance and backward bit, so
-        extending the path costs a few additions.
+        node saves its parent's values on one stack, which also holds
+        the path itself.  Each adjacency entry carries its hop's edge,
+        distance and backward bit, so extending the path costs a few
+        additions.
         """
         hop_info = self.hop_info
         links = {
@@ -204,9 +375,7 @@ class _Johnson:
             ]
             for node in scc
         }
-        names = self.names
         latency = self.latency
-        keys_by_mask = self._keys
         # Node-set mask that orders rings of equal length like their
         # sorted position tuples: the earliest position weighs most.
         top = max(scc)
@@ -215,10 +384,10 @@ class _Johnson:
 
         blocked = {root}
         block_map: dict[int, set[int]] = {node: set() for node in scc}
-        name_path = [names[root]]
-        edge_path: list[Edge] = []
-        found: list[Circuit] = []
-        order_keys: list[int] = []
+        groups: dict[int, list[int]] = {}
+        found = 0
+        zero = False
+        rings: list[tuple] = []
         saved: list[tuple] = []
         # The current frame: its node, unexplored hop count, whether a
         # circuit closed below it, and the path's latency sum, distance
@@ -236,21 +405,33 @@ class _Johnson:
                 pending -= 1
                 succ, edge, distance, bit = neighbors[pending]
                 if succ == root:
-                    if len(found) >= budget:
+                    if found >= budget:
                         return None
-                    keys = keys_by_mask.get(mask | bit)
-                    if keys is None:
-                        keys = self.backward_keys(mask | bit)
-                    found.append(
-                        Circuit(
-                            nodes=tuple(name_path),
-                            edges=(*edge_path, edge),
-                            latency=lat,
-                            distance=dist + distance,
-                            backward_keys=keys,
+                    full = mask | bit
+                    ring_distance = dist + distance
+                    if ring_distance:
+                        ratio = -(-lat // ring_distance)
+                    else:
+                        ratio = 0
+                        zero = True
+                    key = (len(saved) + 1) * span - nodes
+                    group = groups.get(full)
+                    if group is None:
+                        groups[full] = [nodes, ratio, key, found]
+                    else:
+                        group[0] |= nodes
+                        if ratio > group[1]:
+                            group[1] = ratio
+                        if key < group[2]:
+                            group[2] = key
+                            group[3] = found
+                    if record is not None:
+                        ring = [frame[0] for frame in saved]
+                        ring.append(node)
+                        rings.append(
+                            (key, found, ring, edge, lat, ring_distance, full)
                         )
-                    )
-                    order_keys.append(len(name_path) * span - nodes)
+                    found += 1
                     closed = True
                 elif succ not in blocked:
                     saved.append((
@@ -258,8 +439,6 @@ class _Johnson:
                         lat, dist, mask, nodes,
                     ))
                     blocked.add(succ)
-                    name_path.append(names[succ])
-                    edge_path.append(edge)
                     node = succ
                     neighbors = links[succ]
                     pending = len(neighbors)
@@ -282,13 +461,29 @@ class _Johnson:
                     block_map[succ].add(node)
             if not saved:
                 break
-            name_path.pop()
-            edge_path.pop()
             child_closed = closed
             node, neighbors, pending, closed, lat, dist, mask, nodes = (
                 saved.pop()
             )
             closed = closed or child_closed
 
-        order = sorted(range(len(found)), key=order_keys.__getitem__)
-        return [found[i] for i in order]
+        if record is not None:
+            names = self.names
+            rings.sort(key=itemgetter(0, 1))
+            for _, _, ring, edge, lat, dist, full in rings:
+                record.append(
+                    Circuit(
+                        nodes=tuple(names[i] for i in ring),
+                        edges=(
+                            *(
+                                hop_info[a, b][1]
+                                for a, b in zip(ring, ring[1:])
+                            ),
+                            edge,
+                        ),
+                        latency=lat,
+                        distance=dist,
+                        backward_keys=self.backward_keys(full),
+                    )
+                )
+        return found, groups, zero

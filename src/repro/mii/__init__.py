@@ -8,7 +8,7 @@ by-product of RecMII, exactly as the paper does, and grouped into
 """
 
 from repro.mii.analysis import MIIResult, compute_mii
-from repro.mii.recmii import circuit_recmii, compute_recmii
+from repro.mii.recmii import compute_recmii
 from repro.mii.recurrences import (
     RecurrenceSubgraph,
     find_recurrence_subgraphs,
@@ -19,7 +19,6 @@ from repro.mii.resmii import compute_resmii
 __all__ = [
     "MIIResult",
     "RecurrenceSubgraph",
-    "circuit_recmii",
     "compute_mii",
     "compute_recmii",
     "compute_resmii",

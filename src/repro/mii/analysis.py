@@ -2,13 +2,21 @@
 
 One call computes ResMII, RecMII, the elementary circuits and the grouped
 recurrence subgraphs; the scheduler and the pre-ordering phase both consume
-the same :class:`MIIResult` so circuits are enumerated exactly once per
-loop, matching the paper's observation that recurrence identification is a
-small fraction of scheduling time.
+the same :class:`MIIResult`.  The circuit search runs once per loop and
+folds every circuit into its recurrence group as it closes, so RecMII and
+the subgraphs come from the groups and no circuit object is built unless
+:attr:`MIIResult.circuits` is read (which repeats the search once).  This
+matches the paper's observation that recurrence identification is a small
+fraction of scheduling time.
+
+:func:`compute_mii` calls :func:`elementary_circuits`,
+:func:`compute_recmii` and :func:`find_recurrence_subgraphs` through this
+module's globals, so a profiler that wraps those names times each step.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.graph.circuits import Circuit, elementary_circuits
@@ -25,7 +33,9 @@ class MIIResult:
 
     resmii: int
     recmii: int
-    circuits: list[Circuit]
+    #: Every elementary circuit; ``len()`` is free, reading a circuit
+    #: builds them all (see :class:`~repro.graph.circuits.CircuitEnumeration`).
+    circuits: Sequence[Circuit]
     subgraphs: list[RecurrenceSubgraph]
 
     @property

@@ -4,41 +4,40 @@ A recurrence circuit from an operation to an instance of itself ``omega``
 iterations later must not be stretched beyond ``omega * II`` cycles
 (Section 3), hence every circuit ``c`` imposes
 ``II >= ceil(latency_sum(c) / distance_sum(c))`` and RecMII is the maximum
-over all elementary circuits.  Both sums are cached on each
-:class:`~repro.graph.circuits.Circuit` by the enumeration, so this is O(1)
-per circuit.
+over all elementary circuits.  The enumeration folds that ratio into each
+recurrence group as circuits close
+(:class:`~repro.graph.circuits.CircuitGroup`), so this is a maximum over
+the groups, not over the circuits.
 """
 
 from __future__ import annotations
 
-import math
-
 from repro.errors import ZeroDistanceCycleError
-from repro.graph.circuits import Circuit, elementary_circuits
+from repro.graph.circuits import CircuitEnumeration, elementary_circuits
 from repro.graph.ddg import DependenceGraph
 
 
-def circuit_recmii(circuit: Circuit) -> int:
-    """The II lower bound a single circuit imposes."""
-    if circuit.distance == 0:
+def check_circuit_distances(circuits: CircuitEnumeration) -> None:
+    """Raise :class:`ZeroDistanceCycleError` for the first circuit, in
+    sequence order, whose dependence distances sum to zero: no II can
+    schedule it."""
+    if circuits.zero_distance_root is not None:
         raise ZeroDistanceCycleError(
-            f"circuit through {circuit.nodes[0]!r} has zero total distance"
+            f"circuit through {circuits.zero_distance_root!r} has zero "
+            "total distance"
         )
-    return math.ceil(circuit.latency / circuit.distance)
 
 
 def compute_recmii(
     graph: DependenceGraph,
-    circuits: list[Circuit] | None = None,
+    circuits: CircuitEnumeration | None = None,
 ) -> int:
     """Lower bound on II imposed by loop-carried dependences.
 
     ``circuits`` may be supplied to reuse a prior enumeration (the
-    pre-ordering phase needs the circuits anyway).
+    pre-ordering phase needs the recurrence groups anyway).
     """
     if circuits is None:
         circuits = elementary_circuits(graph)
-    recmii = 1
-    for circuit in circuits:
-        recmii = max(recmii, circuit_recmii(circuit))
-    return recmii
+    check_circuit_distances(circuits)
+    return max((group.recmii for group in circuits.groups), default=1)

@@ -4,7 +4,10 @@ Recurrence circuits that share the same set of *backward edges* (the
 loop-carried edges that close them) are merged into a single **recurrence
 subgraph** — Figure 8b's two circuits, for example, become the one subgraph
 {A, B, C, D, E}.  Circuits with distinct backward-edge sets stay separate
-subgraphs even when they share nodes (Figures 8c/8d).
+subgraphs even when they share nodes (Figures 8c/8d).  The circuit search
+does the merge as circuits close
+(:class:`~repro.graph.circuits.CircuitGroup`), so this module turns each
+group into one subgraph without reading a circuit.
 
 After grouping, the node lists are *simplified*: a node appearing in
 several subgraphs is kept only in the most restrictive one (largest
@@ -15,11 +18,16 @@ but are dropped from the pre-ordering input, as the paper prescribes.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from repro.graph.circuits import Circuit, elementary_circuits
+from repro.graph.circuits import (
+    Circuit,
+    CircuitEnumeration,
+    elementary_circuits,
+)
 from repro.graph.ddg import DependenceGraph
-from repro.mii.recmii import circuit_recmii
+from repro.mii.recmii import check_circuit_distances
 
 
 @dataclass
@@ -28,54 +36,69 @@ class RecurrenceSubgraph:
 
     backward_edge_keys: frozenset[tuple[str, str, int, str]]
     nodes: list[str]
-    circuits: list[Circuit] = field(default_factory=list)
     recmii: int = 1
     #: Node list after cross-subgraph simplification; what the ordering
     #: phase actually consumes.  Populated by
     #: :func:`simplify_subgraph_node_lists`.
     ordering_nodes: list[str] = field(default_factory=list)
+    #: The enumeration this subgraph was grouped from; :attr:`circuits`
+    #: reads it.
+    source: Sequence[Circuit] = field(default=(), repr=False, compare=False)
 
     @property
     def is_trivial(self) -> bool:
         """Self-dependence of a single operation."""
         return len(self.nodes) == 1
 
+    @property
+    def circuits(self) -> list[Circuit]:
+        """The subgraph's circuits in enumeration order.  Reading them
+        builds every circuit of :attr:`source` once; the scheduling path
+        never does."""
+        return [
+            circuit
+            for circuit in self.source
+            if circuit.backward_keys == self.backward_edge_keys
+        ]
+
+
+def _nodes_of(mask: int, names: Sequence[str]) -> list[str]:
+    """The names of *mask*'s set bits, lowest bit (earliest node) first."""
+    nodes = []
+    while mask:
+        low = mask & -mask
+        nodes.append(names[low.bit_length() - 1])
+        mask ^= low
+    return nodes
+
 
 def find_recurrence_subgraphs(
     graph: DependenceGraph,
-    circuits: list[Circuit] | None = None,
+    circuits: CircuitEnumeration | None = None,
 ) -> list[RecurrenceSubgraph]:
-    """Group circuits into subgraphs and sort by decreasing RecMII.
+    """One subgraph per recurrence group, sorted by decreasing RecMII.
 
     Ties are broken by the program-order position of each subgraph's
-    earliest node, keeping the priority list deterministic.
+    earliest node, then by the order in which the groups' backward-edge
+    sets first appear among the circuits, keeping the priority list
+    deterministic.
     """
     if circuits is None:
         circuits = elementary_circuits(graph)
-    position = {name: i for i, name in enumerate(graph.node_names())}
-
-    by_backward: dict[frozenset, RecurrenceSubgraph] = {}
-    members: dict[frozenset, set[str]] = {}
-    for circuit in circuits:
-        key = circuit.backward_keys
-        subgraph = by_backward.get(key)
-        if subgraph is None:
-            subgraph = by_backward[key] = RecurrenceSubgraph(
-                backward_edge_keys=key, nodes=[], circuits=[]
-            )
-            members[key] = set()
-        subgraph.circuits.append(circuit)
-        members[key].update(circuit.nodes)
-        subgraph.recmii = max(subgraph.recmii, circuit_recmii(circuit))
-
-    subgraphs = list(by_backward.values())
-    for subgraph in subgraphs:
-        subgraph.nodes = sorted(
-            members[subgraph.backward_edge_keys], key=position.__getitem__
-        )
-    subgraphs.sort(
-        key=lambda s: (-s.recmii, position[s.nodes[0]])
+    check_circuit_distances(circuits)
+    groups = sorted(
+        circuits.groups,
+        key=lambda g: (-g.recmii, (g.node_mask & -g.node_mask).bit_length()),
     )
+    subgraphs = [
+        RecurrenceSubgraph(
+            backward_edge_keys=group.backward_keys,
+            nodes=_nodes_of(group.node_mask, circuits.names),
+            recmii=group.recmii,
+            source=circuits,
+        )
+        for group in groups
+    ]
     simplify_subgraph_node_lists(subgraphs)
     return subgraphs
 

@@ -42,13 +42,6 @@ artifact), and the ``qa`` and ``conformance`` tiers of
 """
 
 from repro.qa.campaign import CampaignConfig, CampaignReport, run_campaign
-from repro.qa.conformance import (
-    ConformanceConfig,
-    ConformanceResult,
-    bless,
-    diff_goldens,
-    run_conformance,
-)
 from repro.qa.corpus import (
     load_corpus,
     make_reproducer,
@@ -86,3 +79,24 @@ __all__ = [
     "shrink_case",
     "verify_artifact_payload",
 ]
+
+#: Names served from :mod:`repro.qa.conformance` on first access.  The
+#: package does not import that module eagerly: ``python -m
+#: repro.qa.conformance`` imports the package first, and a submodule
+#: already in ``sys.modules`` when ``runpy`` executes it draws a
+#: ``RuntimeWarning``.
+_CONFORMANCE_NAMES = frozenset({
+    "ConformanceConfig",
+    "ConformanceResult",
+    "bless",
+    "diff_goldens",
+    "run_conformance",
+})
+
+
+def __getattr__(name: str):
+    if name in _CONFORMANCE_NAMES:
+        from repro.qa import conformance
+
+        return getattr(conformance, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -341,6 +341,16 @@ class SchedulingService:
 
     # ------------------------------------------------------------------
     def _finished(self, job: Job) -> None:
+        # Bound the in-memory registry: settled jobs are evicted oldest
+        # first once the retention window is full (queued/running jobs
+        # are never touched — they only enter this path when they settle).
+        # Evict before counting the job, so a reader that sees the new
+        # settled count also sees the registry without the evicted jobs.
+        with self._jobs_lock:
+            self._finished_order.append(job.id)
+            while len(self._finished_order) > self.finished_jobs_kept:
+                evicted = self._finished_order.popleft()
+                self._jobs.pop(evicted, None)
         degraded = bool(job.result is not None and job.result.get("degraded"))
         if job.status == JobStatus.DONE:
             self.metrics.inc("jobs_done")
@@ -392,14 +402,6 @@ class SchedulingService:
                 reason=(job.result or {}).get("degrade_reason"),
                 **self._job_event_fields(job),
             )
-        # Bound the in-memory registry: settled jobs are evicted oldest
-        # first once the retention window is full (queued/running jobs
-        # are never touched — they only enter this path when they settle).
-        with self._jobs_lock:
-            self._finished_order.append(job.id)
-            while len(self._finished_order) > self.finished_jobs_kept:
-                evicted = self._finished_order.popleft()
-                self._jobs.pop(evicted, None)
 
     def stats(
         self,

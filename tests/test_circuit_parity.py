@@ -1,10 +1,15 @@
-"""Parity of the one-pass circuit enumeration and its O(1) consumers.
+"""Parity of the folding circuit enumeration and its group consumers.
 
 * A hypothesis property compares :func:`elementary_circuits` with a
   brute-force enumerator over small graphs (parallel edges of different
-  distances and kinds, self-loops, several SCCs), and the O(1)-per-circuit
-  :func:`compute_recmii` / :func:`find_recurrence_subgraphs` with the
-  same quantities recomputed from each circuit's edges.
+  distances and kinds, self-loops, several SCCs).  RecMII and the
+  recurrence subgraphs are computed from the folded groups of a fresh
+  enumeration, before any circuit is built, and compared with the same
+  quantities recomputed from the brute-force circuits' edges; so are the
+  circuit cap and the zero-distance message.
+* The request path (``compute_mii`` and reading ``recmii`` and
+  ``subgraphs``) builds no :class:`Circuit`; reading ``circuits`` builds
+  each one once.
 * A pinned digest of :func:`compute_mii` output over the bundled kernels,
   every QA diversity profile and a family of dense random graphs holds
   the circuit order, RecMII and every subgraph's keys, nodes, RecMII and
@@ -19,6 +24,7 @@ import itertools
 import json
 import math
 import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +34,7 @@ from repro.errors import (
     GraphError,
     ZeroDistanceCycleError,
 )
-from repro.graph.circuits import elementary_circuits
+from repro.graph.circuits import Circuit, elementary_circuits
 from repro.graph.ddg import DependenceGraph
 from repro.graph.edges import DependenceKind, Edge
 from repro.graph.ops import FADD, FMUL, Operation
@@ -77,8 +83,13 @@ def dense_graph(seed: int) -> DependenceGraph:
 # ----------------------------------------------------------------------
 # Brute force
 # ----------------------------------------------------------------------
+class Ring(NamedTuple):
+    nodes: tuple[str, ...]
+    edges: tuple[Edge, ...]
+
+
 def brute_force_circuits(graph: DependenceGraph):
-    """Every elementary circuit as ``(nodes, edges)``: each node ring
+    """Every elementary circuit as a :class:`Ring`: each node ring
     starts at its earliest node and takes, per hop, the first
     minimal-distance edge in out-edge order."""
     names = graph.node_names()
@@ -104,7 +115,7 @@ def brute_force_circuits(graph: DependenceGraph):
                     for i in range(len(ring))
                 )
                 if all(edge is not None for edge in edges):
-                    found.add((ring, edges))
+                    found.add(Ring(ring, edges))
     return found
 
 
@@ -160,11 +171,36 @@ class TestBruteForceParity:
     def test_enumeration_and_consumers_match_brute_force(self, spec):
         latencies, edges = spec
         graph = build_graph(latencies, edges)
-        circuits = elementary_circuits(graph)
-        assert {(c.nodes, c.edges) for c in circuits} == brute_force_circuits(
-            graph
+        brute = brute_force_circuits(graph)
+        position = {name: i for i, name in enumerate(graph.node_names())}
+
+        # The consumers read only the folded groups of a fresh result.
+        fresh = elementary_circuits(graph)
+        assert len(fresh) == len(brute)
+        zero_roots = sorted(
+            (c.nodes[0] for c in brute if not sum(e.distance for e in c.edges)),
+            key=position.__getitem__,
         )
-        assert len(circuits) == len({(c.nodes, c.edges) for c in circuits})
+        if zero_roots:
+            message = (
+                f"circuit through {zero_roots[0]!r} has zero total distance"
+            )
+            for analyse in (compute_recmii, find_recurrence_subgraphs):
+                with pytest.raises(ZeroDistanceCycleError) as info:
+                    analyse(graph, fresh)
+                assert str(info.value) == message
+        else:
+            recmii = compute_recmii(graph, fresh)
+            subgraphs = find_recurrence_subgraphs(graph, fresh)
+
+        # Now build the circuits and hold them to the brute force.
+        circuits = list(fresh)
+        assert {(c.nodes, c.edges) for c in circuits} == brute
+        assert len(circuits) == len(brute)
+        # One group per backward-edge set, where the set first appears.
+        assert [g.backward_keys for g in fresh.groups] == list(
+            dict.fromkeys(c.backward_keys for c in circuits)
+        )
         keys = [order_key(graph, c) for c in circuits]
         assert keys == sorted(keys)
         for circuit in circuits:
@@ -176,31 +212,37 @@ class TestBruteForceParity:
                 e.key for e in circuit.edges if e.distance > 0
             )
 
-        zero = [c for c in circuits if c.distance == 0]
-        if zero:
-            with pytest.raises(ZeroDistanceCycleError) as info:
-                compute_recmii(graph, circuits)
+        self_loops = sum(len(c.nodes) == 1 for c in brute)
+        if len(brute) > self_loops:
+            with pytest.raises(CircuitLimitExceeded) as info:
+                elementary_circuits(graph, max_circuits=len(brute) - 1)
             assert str(info.value) == (
-                f"circuit through {zero[0].nodes[0]!r} has zero total distance"
+                f"more than {len(brute) - 1} elementary circuits"
             )
+        assert len(elementary_circuits(graph, max_circuits=len(brute))) == (
+            len(brute)
+        )
+
+        if zero_roots:
             return
-        recmii = max(
+        # Brute-force rings in enumeration order: the order key, then
+        # Johnson's discovery order among rings on one node set.
+        rank = {(c.nodes, c.edges): i for i, c in enumerate(circuits)}
+        ordered = sorted(brute, key=rank.__getitem__)
+        assert recmii == max(
             (
                 math.ceil(
                     sum(graph.operation(n).latency for n in c.nodes)
                     / sum(e.distance for e in c.edges)
                 )
-                for c in circuits
+                for c in brute
             ),
             default=1,
         )
-        assert compute_recmii(graph, circuits) == recmii
         assert compute_recmii(graph) == recmii
-
-        subgraphs = find_recurrence_subgraphs(graph, circuits)
         assert [
             (s.backward_edge_keys, s.nodes, s.recmii) for s in subgraphs
-        ] == reference_subgraphs(graph, circuits)
+        ] == reference_subgraphs(graph, ordered)
         for subgraph in subgraphs:
             assert all(
                 c.backward_keys == subgraph.backward_edge_keys
@@ -222,6 +264,52 @@ class TestBruteForceParity:
         )
         first, second = elementary_circuits(graph)
         assert first.backward_keys is second.backward_keys
+
+
+# ----------------------------------------------------------------------
+# No circuit objects on the request path
+# ----------------------------------------------------------------------
+def chain_of_blocks(blocks: int = 3, size: int = 4) -> DependenceGraph:
+    """*blocks* complete recurrence blocks of *size* ops (distance-1
+    backward edges), each feeding the next through one forward edge:
+    ``blocks * 20`` circuits at the default size, one group per
+    backward-edge set."""
+    edges = []
+    for block in range(blocks):
+        base = block * size
+        edges += [
+            (base + i, base + j, 0 if i < j else 1, DependenceKind.REGISTER)
+            for i in range(size)
+            for j in range(size)
+            if i != j
+        ]
+        if block:
+            edges.append((base - 1, base, 0, DependenceKind.REGISTER))
+    return build_graph([1, 2, 3, 1] * blocks, edges)
+
+
+class TestLazyCircuits:
+    def test_request_path_builds_no_circuits(self, monkeypatch):
+        built = []
+        construct = Circuit.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            construct(self, *args, **kwargs)
+
+        monkeypatch.setattr(Circuit, "__init__", counting)
+        graph = chain_of_blocks()
+        result = compute_mii(graph, MACHINE)
+        assert result.recmii == 7
+        assert result.subgraphs and all(s.nodes for s in result.subgraphs)
+        assert len(result.circuits) == 60
+        assert built == []
+
+        circuits = list(result.circuits)
+        assert len(built) == len(circuits) == 60
+        assert result.circuits == circuits
+        assert sum(len(s.circuits) for s in result.subgraphs) == 60
+        assert len(built) == 60, "the circuit list is built once"
 
 
 # ----------------------------------------------------------------------
@@ -336,14 +424,17 @@ class TestErrorPaths:
 
     def test_zero_distance_circuit_message(self):
         # n0 closes a legal self-loop first; the n1 <-> n2 ring is the
-        # first zero-distance circuit in enumeration order.
+        # first zero-distance circuit in enumeration order, ahead of the
+        # n3 <-> n4 ring.
         graph = build_graph(
-            [1, 1, 1],
+            [1, 1, 1, 1, 1],
             [
                 (0, 0, 1, DependenceKind.REGISTER),
                 (1, 2, 0, DependenceKind.REGISTER),
                 (2, 1, 0, DependenceKind.MEMORY),
                 (2, 1, 0, DependenceKind.REGISTER),
+                (3, 4, 0, DependenceKind.REGISTER),
+                (4, 3, 0, DependenceKind.REGISTER),
             ],
         )
         for analyse in (

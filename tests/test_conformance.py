@@ -19,6 +19,9 @@ Covers the four layers of the suite (see docs/TESTING.md):
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,6 +47,7 @@ from repro.qa.conformance import (
 from repro.schedule.verify import verify_schedule
 from repro.schedulers import registry
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDENS_DIR = Path(__file__).parent / "goldens" / "conformance"
 
 HEURISTICS = [
@@ -314,6 +318,27 @@ class TestConformanceCli:
             "hrms", "topdown",
         }
         assert report["failures"] == []
+
+    def test_module_entry_point_imports_cleanly(self):
+        """``python -m repro.qa.conformance`` runs without runpy's
+        "found in sys.modules" warning: the ``repro.qa`` package does not
+        import the module it is about to execute."""
+        env = os.environ.copy()
+        env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        result = subprocess.run(
+            [
+                sys.executable, "-W", "error::RuntimeWarning",
+                "-m", "repro.qa.conformance", "--help",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "usage: hrms-conformance" in result.stdout
 
 
 class TestKernelsFuzzProfile:
