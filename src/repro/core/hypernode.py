@@ -44,19 +44,19 @@ class HypernodeGraph:
         nodes: Iterable[str] | None = None,
         dropped_edge_keys: set[tuple[str, str, int, str]] | None = None,
     ) -> None:
-        self._base = base
-        names = base.node_names()
+        view = base.indexed()
+        names, position = view.names, view.position
         keep = set(names if nodes is None else nodes)
-        self._position = {name: i for i, name in enumerate(names)}
+        self._base = base
+        self._position = position
         self._nodes: set[str] = keep
         dropped = {(src, dst) for src, dst, _, _ in dropped_edge_keys or ()}
         self._succ: dict[str, set[str]] = {name: set() for name in keep}
         self._pred: dict[str, set[str]] = {name: set() for name in keep}
-        for src in names:
-            if src not in keep:
-                continue
-            for dst in base.successors(src):
-                if dst in keep and dst != src and (src, dst) not in dropped:
+        for src in keep:
+            for j in view.successors[position[src]]:
+                dst = names[j]
+                if dst in keep and (src, dst) not in dropped:
                     self._succ[src].add(dst)
                     self._pred[dst].add(src)
 

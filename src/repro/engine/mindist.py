@@ -146,50 +146,39 @@ class _GraphFactors:
 def factorise(graph: DependenceGraph) -> _GraphFactors:
     """Split *graph* into the per-edge arrays :func:`solve` consumes,
     plus the condensation :func:`closure` walks."""
-    names = graph.node_names()
-    index = {name: i for i, name in enumerate(names)}
-    src: list[int] = []
-    dst: list[int] = []
-    lat: list[int] = []
-    delta: list[int] = []
-    self_lat: list[int] = []
-    self_delta: list[int] = []
-    for edge in graph.edges():
-        i, j = index[edge.src], index[edge.dst]
-        latency = graph.operation(edge.src).latency
-        if i == j:
-            self_lat.append(latency)
-            self_delta.append(edge.distance)
-        else:
-            src.append(i)
-            dst.append(j)
-            lat.append(latency)
-            delta.append(edge.distance)
-    src, dst, lat, delta = (
-        np.asarray(a, dtype=np.int64) for a in (src, dst, lat, delta)
-    )
-    component, levels = _condense(len(names), src, dst, lat, delta)
+    view = graph.indexed()
+    src, dst, delta = view.edge_src, view.edge_dst, view.edge_distance
+    lat = view.latencies[src]
+    loop = src == dst
+    self_lat, self_delta = lat[loop], delta[loop]
+    if self_lat.size:
+        # Only then copy: a cached session otherwise shares the view's
+        # read-only edge arrays instead of holding a second set.
+        cross = ~loop
+        src, dst, lat, delta = src[cross], dst[cross], lat[cross], delta[cross]
+    component, levels = _condense(view.successors, src, dst, lat, delta)
     return _GraphFactors(
-        names=names,
+        names=list(view.names),
         src=src,
         dst=dst,
         lat=lat,
         delta=delta,
-        self_lat=np.asarray(self_lat, dtype=np.int64),
-        self_delta=np.asarray(self_delta, dtype=np.int64),
+        self_lat=self_lat,
+        self_delta=self_delta,
         component=component,
         levels=levels,
     )
 
 
 def _condense(
-    n: int,
+    successors: tuple[tuple[int, ...], ...],
     src: np.ndarray,
     dst: np.ndarray,
     lat: np.ndarray,
     delta: np.ndarray,
 ) -> tuple[np.ndarray, list[_Level]]:
-    """Tarjan component ids and the level schedule :func:`closure` runs.
+    """Tarjan component ids (over the graph's int adjacency) and the
+    level schedule :func:`closure` runs.
 
     A component's level is ``1 + max(successor levels)``, 0 for sinks.
     Ids are reverse topological, so one pass over the cross edges in
@@ -197,9 +186,7 @@ def _condense(
     non-decreasing (edges come grouped by source in program order), so
     every edge group below stays grouped by source.
     """
-    successors: list[list[int]] = [[] for _ in range(n)]
-    for i, j in zip(src.tolist(), dst.tolist()):
-        successors[i].append(j)
+    n = len(successors)
     component = np.asarray(strongly_connected(successors), dtype=np.int64)
     count = int(component.max()) + 1 if n else 0
     csrc, cdst = component[src], component[dst]

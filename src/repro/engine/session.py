@@ -79,12 +79,6 @@ class SchedulingSession:
         self._fresh_solves = 0
         self._memo_hits = 0
         self._digest: str | None = None
-        self._names: list[str] | None = None
-        self._op_index: dict[str, int] | None = None
-        self._latencies: np.ndarray | None = None
-        self._neighbours: (
-            dict[str, tuple[tuple[str, ...], tuple[str, ...]]] | None
-        ) = None
         self._scratch = threading.local()
 
     # ------------------------------------------------------------------
@@ -99,8 +93,6 @@ class SchedulingSession:
                 return
             self._analysis = None
             self._digest = None
-            self._names = self._op_index = None
-            self._latencies = self._neighbours = None
             self._factors = None
             self._memo.clear()
             self._version = self.graph.version
@@ -123,53 +115,6 @@ class SchedulingSession:
         if self._digest is None:
             self._digest = fingerprint_digest(self.graph)
         return self._digest
-
-    @property
-    def names(self) -> list[str]:
-        """Operation names in matrix row order (program order)."""
-        self._sync()
-        if self._names is None:
-            self._names = self.graph.node_names()
-        return self._names
-
-    @property
-    def op_index(self) -> dict[str, int]:
-        """Name -> matrix row, built once per graph version."""
-        self._sync()
-        if self._op_index is None:
-            self._op_index = {
-                name: i for i, name in enumerate(self.names)
-            }
-        return self._op_index
-
-    @property
-    def latencies(self) -> np.ndarray:
-        """Operation latencies in matrix row order, built once per
-        graph version."""
-        self._sync()
-        if self._latencies is None:
-            graph = self.graph
-            self._latencies = np.array(
-                [graph.operation(name).latency for name in self.names],
-                dtype=np.int64,
-            )
-        return self._latencies
-
-    @property
-    def neighbours(self) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
-        """Name -> (distinct predecessors, distinct successors), self
-        edges removed, built once per graph version."""
-        self._sync()
-        if self._neighbours is None:
-            graph = self.graph
-            self._neighbours = {
-                name: (
-                    tuple(p for p in graph.predecessors(name) if p != name),
-                    tuple(s for s in graph.successors(name) if s != name),
-                )
-                for name in self.names
-            }
-        return self._neighbours
 
     # ------------------------------------------------------------------
     def mindist(self, ii: int) -> tuple[np.ndarray, list[str]] | None:
@@ -210,7 +155,7 @@ class SchedulingSession:
         if solved is None:
             return None
         dist, names = solved
-        asap, _ = cyclic_frame(dist, self.latencies)
+        asap, _ = cyclic_frame(dist, self.graph.indexed().latencies)
         return {name: int(asap[i]) for i, name in enumerate(names)}
 
     def start_bounds(self, ii: int) -> StartBounds | None:

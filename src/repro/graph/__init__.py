@@ -11,6 +11,10 @@ Public surface:
 * :class:`~repro.graph.edges.Edge` / :class:`~repro.graph.edges.DependenceKind`
   — a typed dependence.
 * :class:`~repro.graph.ddg.DependenceGraph` — the graph container.
+* :mod:`~repro.graph.indexed` — the immutable integer view
+  (:class:`~repro.graph.indexed.IndexedGraph`: positions, latencies,
+  edge arrays, int adjacency) every layer reads, built once per graph
+  version by :meth:`~repro.graph.ddg.DependenceGraph.indexed`.
 * :class:`~repro.graph.builder.GraphBuilder` — fluent construction DSL.
 * :mod:`~repro.graph.traversal` — topological orders, ASAP/ALAP/PALA levels,
   reachability.

@@ -16,8 +16,9 @@ larger distances are strictly less restrictive and never change the node
 set of a recurrence subgraph.
 
 The search is one pass over integer node indices (program-order
-positions), so the circuit count, not per-circuit bookkeeping, sets its
-cost:
+positions, read from the graph's
+:class:`~repro.graph.indexed.IndexedGraph`), so the circuit count, not
+per-circuit bookkeeping, sets its cost:
 
 * **Hop table.**  The canonical edge of every hop ``(i, j)`` is chosen
   once per graph, together with its distance and, for a loop-carried
@@ -49,15 +50,12 @@ from typing import NamedTuple
 from repro.errors import CircuitLimitExceeded
 from repro.graph.ddg import DependenceGraph
 from repro.graph.edges import Edge
+from repro.graph.indexed import IndexedGraph
 from repro.graph.traversal import strongly_connected
 
 #: Safety cap — graphs in this domain have few circuits; a pathological
 #: generator output should fail loudly rather than hang.
 DEFAULT_MAX_CIRCUITS = 50_000
-
-#: What one search reads from the graph: node names and latencies in
-#: program order, and the edges.
-_SearchInputs = tuple[tuple[str, ...], tuple[int, ...], tuple[Edge, ...]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,19 +103,19 @@ class CircuitEnumeration(Sequence[Circuit]):
 
     def __init__(
         self,
-        inputs: _SearchInputs,
+        view: IndexedGraph,
         count: int,
         groups: tuple[CircuitGroup, ...],
         zero_distance_root: str | None,
     ) -> None:
-        # Only the search's inputs are kept, not its tables: a cached
-        # analysis of a loop without circuits then holds three tuples.
-        self._inputs = inputs
+        # Only the search's input is kept, not its tables: the graph's
+        # indexed view, which the graph itself shares.
+        self._view = view
         self._count = count
         self._circuits: list[Circuit] | None = None
         #: Node names in program order; bit ``i`` of a group's node mask
         #: is ``names[i]``.
-        self.names: tuple[str, ...] = inputs[0]
+        self.names: tuple[str, ...] = view.names
         #: One entry per distinct backward-edge set, in the order the
         #: sets first appear in the circuit sequence.
         self.groups = groups
@@ -130,7 +128,7 @@ class CircuitEnumeration(Sequence[Circuit]):
 
     def _materialised(self) -> list[Circuit]:
         if self._circuits is None:
-            search = _Johnson(*self._inputs)
+            search = _Johnson(self._view)
             _, _, _, self._circuits = search.run(self._count, record=True)
         return self._circuits
 
@@ -154,7 +152,9 @@ class CircuitEnumeration(Sequence[Circuit]):
         )
 
 
-def _reach(start: int, links: list[list[int]], allowed: set[int]) -> set[int]:
+def _reach(
+    start: int, links: tuple[tuple[int, ...], ...], allowed: set[int]
+) -> set[int]:
     """Nodes of *allowed* reachable from *start* along *links*."""
     seen = {start}
     work = [start]
@@ -181,36 +181,26 @@ def elementary_circuits(
     the circuits found so far exceed *max_circuits*; self-loops alone
     never raise.
     """
-    names = tuple(graph.node_names())
-    inputs = (
-        names,
-        tuple(graph.operation(name).latency for name in names),
-        tuple(graph.edges()),
-    )
-    count, groups, zero_root, _ = _Johnson(*inputs).run(
+    view = graph.indexed()
+    count, groups, zero_root, _ = _Johnson(view).run(
         max_circuits, record=False
     )
-    return CircuitEnumeration(inputs, count, groups, zero_root)
+    return CircuitEnumeration(view, count, groups, zero_root)
 
 
 class _Johnson:
-    """Graph-wide tables for the per-root searches: int adjacency, the
-    hop table, node latencies and the backward-key cache, built from the
-    node names and latencies in program order and the edge list."""
+    """Graph-wide tables for the per-root searches: the hop table, node
+    latencies and the backward-key cache, built from the graph's indexed
+    view (whose int adjacency the searches walk)."""
 
-    def __init__(
-        self,
-        names: tuple[str, ...],
-        latency: tuple[int, ...],
-        edges: tuple[Edge, ...],
-    ) -> None:
-        position = {name: i for i, name in enumerate(names)}
-        self.names = names
-        self.latency = latency
+    def __init__(self, view: IndexedGraph) -> None:
+        self.view = view
+        self.latency: list[int] = view.latencies.tolist()
         # Canonical (first minimal-distance) edge per hop (i, j).
         hops: dict[tuple[int, int], Edge] = {}
-        for edge in edges:
-            hop = (position[edge.src], position[edge.dst])
+        for edge, hop in zip(
+            view.edges, zip(view.edge_src.tolist(), view.edge_dst.tolist())
+        ):
             best = hops.get(hop)
             if best is None or edge.distance < best.distance:
                 hops[hop] = edge
@@ -218,8 +208,6 @@ class _Johnson:
         #: loop-carried canonical edge owns one bit of the backward mask.
         self.hop_info: dict[tuple[int, int], tuple[int, Edge, int, int]] = {}
         self.backward_edges: list[Edge] = []
-        self.successors: list[list[int]] = [[] for _ in names]
-        self.predecessors: list[list[int]] = [[] for _ in names]
         for src, dst in sorted(hops):
             edge = hops[src, dst]
             bit = 0
@@ -227,9 +215,6 @@ class _Johnson:
                 bit = 1 << len(self.backward_edges)
                 self.backward_edges.append(edge)
             self.hop_info[src, dst] = (dst, edge, edge.distance, bit)
-            if src != dst:
-                self.successors[src].append(dst)
-                self.predecessors[dst].append(src)
         self._keys: dict[int, frozenset[tuple[str, str, int, str]]] = {}
 
     def backward_keys(self, mask: int) -> frozenset[tuple[str, str, int, str]]:
@@ -257,13 +242,13 @@ class _Johnson:
         that order (the root's self-loop first) inserts every backward
         mask where it first appears in the sorted circuit sequence.
         """
-        count = len(self.names)
+        count = len(self.view.names)
         hop_info = self.hop_info
         latency = self.latency
         budget = max_circuits - sum(
             (node, node) in hop_info for node in range(count)
         )
-        component = strongly_connected(self.successors)
+        component = strongly_connected(self.view.successors)
         members: dict[int, set[int]] = {}
         for node in range(count):
             members.setdefault(component[node], set()).add(node)
@@ -298,18 +283,20 @@ class _Johnson:
                 if circuits is not None:
                     circuits.append(
                         Circuit(
-                            nodes=(self.names[root],),
+                            nodes=(self.view.names[root],),
                             edges=(edge,),
                             latency=latency[root],
                             distance=distance,
                             backward_keys=self.backward_keys(bit),
                         )
                     )
-            allowed = {node for node in members[component[root]] if node >= root}
+            allowed = {
+                node for node in members[component[root]] if node >= root
+            }
             if len(allowed) < 2:
                 continue
-            scc = _reach(root, self.successors, allowed) & _reach(
-                root, self.predecessors, allowed
+            scc = _reach(root, self.view.successors, allowed) & _reach(
+                root, self.view.predecessors, allowed
             )
             if len(scc) < 2:
                 continue
@@ -340,7 +327,7 @@ class _Johnson:
             CircuitGroup(self.backward_keys(mask), nodes, ratio)
             for mask, (nodes, ratio) in groups.items()
         )
-        zero_name = None if zero_root is None else self.names[zero_root]
+        zero_name = None if zero_root is None else self.view.names[zero_root]
         return total, folded, zero_name, circuits
 
     def circuits_from(
@@ -370,7 +357,7 @@ class _Johnson:
         links = {
             node: [
                 hop_info[node, succ]
-                for succ in self.successors[node]
+                for succ in self.view.successors[node]
                 if succ in scc
             ]
             for node in scc
@@ -468,7 +455,7 @@ class _Johnson:
             closed = closed or child_closed
 
         if record is not None:
-            names = self.names
+            names = self.view.names
             rings.sort(key=itemgetter(0, 1))
             for _, _, ring, edge, lat, dist, full in rings:
                 record.append(

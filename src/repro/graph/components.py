@@ -17,24 +17,20 @@ def connected_components(graph: DependenceGraph) -> list[list[str]]:
     Components themselves are returned in order of their earliest member,
     so the output is deterministic for a given graph.
     """
-    names = graph.node_names()
-    position = {name: i for i, name in enumerate(names)}
-    seen: set[str] = set()
+    view = graph.indexed()
+    seen = [False] * len(view.names)
     components: list[list[str]] = []
-    for name in names:
-        if name in seen:
+    for root in range(len(seen)):
+        if seen[root]:
             continue
-        members = [name]
-        seen.add(name)
-        stack = [name]
+        seen[root] = True
+        members, stack = [root], [root]
         while stack:
             node = stack.pop()
-            for neighbor in graph.neighbors(node):
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    members.append(neighbor)
-                    stack.append(neighbor)
-        members.sort(key=position.__getitem__)
-        components.append(members)
+            for other in view.predecessors[node] + view.successors[node]:
+                if not seen[other]:
+                    seen[other] = True
+                    members.append(other)
+                    stack.append(other)
+        components.append([view.names[i] for i in sorted(members)])
     return components
-

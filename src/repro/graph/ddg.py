@@ -17,6 +17,7 @@ from repro.errors import (
     ZeroDistanceCycleError,
 )
 from repro.graph.edges import DependenceKind, Edge
+from repro.graph.indexed import IndexedGraph, index_graph
 from repro.graph.ops import Operation
 
 
@@ -37,6 +38,10 @@ class DependenceGraph:
         #: Bumped by every mutation that changes the graph, so derived
         #: state (the session's MinDist memo) can tell it is stale in O(1).
         self.version = 0
+        #: ``(version, view)`` of the last :meth:`indexed` call, one
+        #: attribute so a concurrent reader never sees a torn pair (two
+        #: racing first calls build equal views; either may stay).
+        self._indexed: tuple[int, IndexedGraph] | None = None
 
     # ------------------------------------------------------------------
     # Construction / mutation
@@ -133,6 +138,15 @@ class DependenceGraph:
             raise UnknownOperationError("<empty graph>")
         return next(iter(self._ops))
 
+    def indexed(self) -> IndexedGraph:
+        """The integer view of this graph version, built on first use
+        and shared until the next mutation."""
+        cached = self._indexed
+        version = self.version
+        if cached is None or cached[0] != version:
+            cached = self._indexed = (version, index_graph(self))
+        return cached[1]
+
     def edges(self) -> list[Edge]:
         """All edges, grouped by source in program order."""
         return [edge for out in self._out.values() for edge in out]
@@ -162,15 +176,6 @@ class DependenceGraph:
         seen: dict[str, None] = {}
         for edge in self._in[name]:
             seen.setdefault(edge.src, None)
-        return list(seen)
-
-    def neighbors(self, name: str) -> list[str]:
-        """Union of predecessors and successors."""
-        seen: dict[str, None] = {}
-        for other in self.predecessors(name):
-            seen.setdefault(other, None)
-        for other in self.successors(name):
-            seen.setdefault(other, None)
         return list(seen)
 
     def value_consumers(self, name: str) -> list[tuple[str, int]]:

@@ -65,27 +65,41 @@ def graph_to_dict(graph: DependenceGraph) -> dict[str, Any]:
 
 
 def graph_from_dict(data: dict[str, Any]) -> DependenceGraph:
-    """Rebuild a graph serialised by :func:`graph_to_dict`."""
+    """Rebuild a graph serialised by :func:`graph_to_dict`.
+
+    Malformed input raises :class:`GraphError` naming the offending
+    operation or edge index: it is a permanent client error.
+    """
+    if not isinstance(data, dict):
+        raise GraphError("a serialized graph must be a JSON object")
     _declared_version(data)
     graph = DependenceGraph(data.get("name", "loop"))
-    for op in data.get("operations", []):
-        graph.add_operation(
-            Operation(
-                name=op["name"],
-                latency=int(op.get("latency", 1)),
-                opclass=op.get("opclass", "generic"),
-                produces_value=bool(op.get("produces_value", True)),
+    where = "operations"
+    try:
+        for index, op in enumerate(data.get("operations", [])):
+            where = f"operation {index}"
+            graph.add_operation(
+                Operation(
+                    name=op["name"],
+                    latency=int(op.get("latency", 1)),
+                    opclass=op.get("opclass", "generic"),
+                    produces_value=bool(op.get("produces_value", True)),
+                )
             )
-        )
-    for edge in data.get("edges", []):
-        graph.add_edge(
-            Edge(
-                src=edge["src"],
-                dst=edge["dst"],
-                distance=int(edge.get("distance", 0)),
-                kind=DependenceKind(edge.get("kind", "register")),
+        where = "edges"
+        for index, edge in enumerate(data.get("edges", [])):
+            where = f"edge {index}"
+            graph.add_edge(
+                Edge(
+                    src=edge["src"],
+                    dst=edge["dst"],
+                    distance=int(edge.get("distance", 0)),
+                    kind=DependenceKind(edge.get("kind", "register")),
+                )
             )
-        )
+    except (KeyError, TypeError, ValueError) as exc:
+        reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise GraphError(f"{where}: {reason}") from exc
     return graph
 
 

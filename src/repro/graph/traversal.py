@@ -10,14 +10,15 @@ which keeps every algorithm deterministic — a requirement for reproducible
 experiments.
 
 :func:`strongly_connected` is the one Tarjan pass of the library.  It
-works on int adjacency lists instead, so the circuit search and the
-MinDist condensation can both run it over their own index tables.
+works on int adjacency instead, so the circuit search and the MinDist
+condensation can both run it over the graph's
+:class:`~repro.graph.indexed.IndexedGraph`.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Container, Iterable, Protocol
+from typing import Container, Iterable, Protocol, Sequence
 
 from repro.errors import CyclicGraphError
 
@@ -30,10 +31,6 @@ class GraphLike(Protocol):
     def predecessors(self, name: str) -> list[str]: ...
 
     def successors(self, name: str) -> list[str]: ...
-
-
-class LatencyGraphLike(GraphLike, Protocol):
-    """Graph protocol extended with operation latencies."""
 
     def operation(self, name: str): ...
 
@@ -79,14 +76,7 @@ def is_acyclic(graph: GraphLike) -> bool:
     return True
 
 
-def _latency(graph, name: str) -> int:
-    op = getattr(graph, "operation", None)
-    if op is None:
-        return 1
-    return graph.operation(name).latency
-
-
-def asap_levels(graph: LatencyGraphLike) -> dict[str, int]:
+def asap_levels(graph: GraphLike) -> dict[str, int]:
     """Earliest start level of each node (longest path from the sources).
 
     Edge weight is the producer's latency; sources sit at level 0.
@@ -97,12 +87,12 @@ def asap_levels(graph: LatencyGraphLike) -> dict[str, int]:
         for pred in graph.predecessors(name):
             if pred == name:
                 continue
-            level = max(level, levels[pred] + _latency(graph, pred))
+            level = max(level, levels[pred] + graph.operation(pred).latency)
         levels[name] = level
     return levels
 
 
-def alap_levels(graph: LatencyGraphLike) -> dict[str, int]:
+def alap_levels(graph: GraphLike) -> dict[str, int]:
     """Latest start level of each node, anchored to the critical path.
 
     Sinks sit at ``critical_path - latency``; every other node as late as
@@ -112,44 +102,42 @@ def alap_levels(graph: LatencyGraphLike) -> dict[str, int]:
     order = topological_order(graph)
     asap = asap_levels(graph)
     horizon = max(
-        (asap[name] + _latency(graph, name) for name in order), default=0
+        (asap[name] + graph.operation(name).latency for name in order),
+        default=0,
     )
     levels: dict[str, int] = {}
     for name in reversed(order):
-        level = horizon - _latency(graph, name)
+        latency = graph.operation(name).latency
+        level = horizon - latency
         for succ in graph.successors(name):
             if succ == name:
                 continue
-            level = min(level, levels[succ] - _latency(graph, name))
+            level = min(level, levels[succ] - latency)
         levels[name] = level
     return levels
 
 
-def asap_order(graph: LatencyGraphLike) -> list[str]:
+def asap_order(graph: GraphLike) -> list[str]:
     """Topological order sorted by ASAP level (program order within a level).
 
     This is the "Sort_ASAP" of Figure 5: successors of the hypernode are
     ordered earliest-first so that, during scheduling, each node finds a
     previously scheduled predecessor.
     """
-    names = graph.node_names()
-    position = {name: i for i, name in enumerate(names)}
     asap = asap_levels(graph)
-    return sorted(names, key=lambda n: (asap[n], position[n]))
+    # ``node_names`` is in program order and ``sorted`` is stable.
+    return sorted(graph.node_names(), key=asap.__getitem__)
 
 
-def pala_order(graph: LatencyGraphLike) -> list[str]:
+def pala_order(graph: GraphLike) -> list[str]:
     """The paper's "Sort_PALA": an ALAP topological sort, list inverted.
 
     Predecessor batches are emitted deepest-node-first, so the node adjacent
     to the hypernode is scheduled first (as late as possible) and every
     following node already has a successor in the partial schedule.
     """
-    names = graph.node_names()
-    position = {name: i for i, name in enumerate(names)}
     alap = alap_levels(graph)
-    in_alap_order = sorted(names, key=lambda n: (alap[n], position[n]))
-    return list(reversed(in_alap_order))
+    return sorted(graph.node_names(), key=alap.__getitem__)[::-1]
 
 
 def forward_reachable(
@@ -183,9 +171,9 @@ def _reach(seeds: Iterable[str], step, blocked: Container[str]) -> set[str]:
     return seen
 
 
-def strongly_connected(successors: list[list[int]]) -> list[int]:
-    """Tarjan's SCCs (iterative) over int adjacency lists: a component
-    id for every node.
+def strongly_connected(successors: Sequence[Sequence[int]]) -> list[int]:
+    """Tarjan's SCCs (iterative) over int adjacency: a component id for
+    every node.
 
     Tarjan closes a component only after every component it reaches, so
     the ids come out in reverse topological order of the condensation:

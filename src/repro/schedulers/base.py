@@ -147,12 +147,12 @@ def _ladder_pass(
     bounds = session.start_bounds(ii)
     if bounds is None:
         return None  # II below RecMII; cannot happen from the driver
-    index = session.op_index
-    neighbours = session.neighbours if scan_down >= _SUCCS_ONLY else None
+    view = graph.indexed()
     mrt = session.mrt(ii)
     start: dict[str, int] = {}
+    placed: set[int] = set()
     for name in order:
-        i = index[name]
+        i = view.position[name]
         es = bounds.early_start(i)
         ls = bounds.late_start(i)
         if ls is None:
@@ -167,10 +167,9 @@ def _ladder_pass(
             elif scan_down == _ALWAYS:
                 down = True
             else:
-                preds, succs = neighbours[name]
-                down = not start.keys().isdisjoint(succs) and (
+                down = not placed.isdisjoint(view.successors[i]) and (
                     scan_down == _ANY_SUCC
-                    or start.keys().isdisjoint(preds)
+                    or placed.isdisjoint(view.predecessors[i])
                 )
             if down:
                 window = downward_window(ls, ii, es)
@@ -184,6 +183,7 @@ def _ladder_pass(
         if cycle is None:
             return None
         start[name] = cycle
+        placed.add(i)
         bounds.place(i, cycle)
     return start
 

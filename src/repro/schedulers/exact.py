@@ -61,9 +61,9 @@ class TimeIndexedModel:
         self.graph = graph
         self.ii = ii
         self.horizon = horizon
-        self.names = graph.node_names()
+        self.names = graph.indexed().names
         self.ops = {name: graph.operation(name) for name in self.names}
-        self._index = {name: i for i, name in enumerate(self.names)}
+        self._index = graph.indexed().position
         self._lower_vars: list[float] = []
         self._upper_vars: list[float] = []
         self._cost: list[float] = []

@@ -33,7 +33,7 @@ class FRLCScheduler(ModuloScheduler):
     name = "frlc"
 
     def prepare(self, session: SchedulingSession) -> dict[str, int]:
-        return dict(session.op_index)
+        return session.graph.indexed().position
 
     def attempt(
         self,

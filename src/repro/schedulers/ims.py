@@ -50,8 +50,8 @@ class IMSScheduler(ModuloScheduler):
         self._budget_factor = budget_factor
 
     def prepare(self, session: SchedulingSession) -> dict[str, int]:
-        """Program-order tiebreak positions (II-independent)."""
-        return dict(session.op_index)
+        """Program-order positions: matrix rows and the tiebreak."""
+        return session.graph.indexed().position
 
     # ------------------------------------------------------------------
     def attempt(
@@ -66,8 +66,7 @@ class IMSScheduler(ModuloScheduler):
         if result is None:
             return None
         dist, names = result
-        heights = self._heights(dist, session.latencies)
-        order = session.op_index
+        heights = self._heights(dist, graph.indexed().latencies)
 
         mrt = session.mrt(ii)
         start: dict[str, int] = {}
@@ -78,7 +77,7 @@ class IMSScheduler(ModuloScheduler):
         while unscheduled:
             pick = max(
                 unscheduled,
-                key=lambda n: (heights[order[n]], -position[n]),
+                key=lambda n: (heights[position[n]], -position[n]),
             )
             op = graph.operation(pick)
             es = early_start(graph, start, pick, ii)

@@ -44,7 +44,7 @@ class SlackScheduler(ModuloScheduler):
         self._budget_factor = budget_factor
 
     def prepare(self, session: SchedulingSession) -> dict[str, int]:
-        return dict(session.op_index)
+        return session.graph.indexed().position
 
     # ------------------------------------------------------------------
     def attempt(
@@ -59,8 +59,7 @@ class SlackScheduler(ModuloScheduler):
         if result is None:
             return None
         dist, names = result
-        index = session.op_index
-        es0, ls0 = cyclic_frame(dist, session.latencies)
+        es0, ls0 = cyclic_frame(dist, graph.indexed().latencies)
 
         mrt = session.mrt(ii)
         start: dict[str, int] = {}
@@ -70,7 +69,7 @@ class SlackScheduler(ModuloScheduler):
 
         while unscheduled:
             pick, es, hard_ls, early_first = self._select(
-                dist, names, index, es0, ls0, start, unscheduled, position
+                dist, names, position, es0, ls0, start, unscheduled
             )
             op = graph.operation(pick)
             placed_at = None
@@ -112,7 +111,6 @@ class SlackScheduler(ModuloScheduler):
         ls0: np.ndarray,
         start: dict[str, int],
         unscheduled: set[str],
-        position: dict[str, int],
     ) -> tuple[str, int, int | None, bool]:
         """Pick the min-slack operation, its hard window and direction.
 
@@ -157,7 +155,7 @@ class SlackScheduler(ModuloScheduler):
         for name in unscheduled:
             i = index[name]
             slack = int(priority_ls[i]) - int(es[i])
-            key = (slack, int(es[i]), position[name])
+            key = (slack, int(es[i]), i)
             if best is None or key < best[0]:
                 succ_bound = up[i] != hi
                 early_first = not succ_bound or pred_bound[i]

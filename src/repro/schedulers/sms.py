@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from typing import Any
 
-import numpy as np
-
 from repro.engine.session import SchedulingSession
 from repro.engine.windows import cyclic_frame
 from repro.graph.ddg import DependenceGraph
@@ -62,30 +60,21 @@ def swing_order(graph: DependenceGraph, solved) -> list[str]:
     if solved is None:  # cannot happen for mii >= RecMII
         raise ValueError("infeasible MII for swing ordering")
     dist, names = solved
-    index = {name: i for i, name in enumerate(names)}
-    position = {name: i for i, name in enumerate(graph.node_names())}
+    view = graph.indexed()
+    asap, alap = cyclic_frame(dist, view.latencies)
+    mobility = (alap - asap).tolist()
+    depth = asap.tolist()  # shallow critical nodes first: a chain's head
 
-    latencies = np.array(
-        [graph.operation(name).latency for name in names], dtype=np.int64
-    )
-    asap, alap = cyclic_frame(dist, latencies)
-    mobility = alap - asap
-    depth = asap  # shallow critical nodes first: start at a chain's head
-
-    def key(name: str) -> tuple:
-        i = index[name]
-        return (int(mobility[i]), int(depth[i]), position[name])
+    def key(i: int) -> tuple[int, int, int]:
+        return (mobility[i], depth[i], i)
 
     ordered: list[str] = []
-    remaining = set(names)
-    frontier: set[str] = set()
+    remaining = set(range(len(names)))
+    frontier: set[int] = set()
     while remaining:
-        pool = frontier or remaining
-        pick = min(pool, key=key)
-        ordered.append(pick)
+        pick = min(frontier or remaining, key=key)
+        ordered.append(names[pick])
         remaining.discard(pick)
-        frontier.discard(pick)
-        for other in graph.neighbors(pick):
-            if other in remaining:
-                frontier.add(other)
+        frontier.update(view.predecessors[pick], view.successors[pick])
+        frontier &= remaining
     return ordered

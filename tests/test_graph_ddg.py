@@ -58,7 +58,6 @@ class TestQueries:
         g = chain_graph(3)
         assert g.successors("n0") == ["n1"]
         assert g.predecessors("n2") == ["n1"]
-        assert g.neighbors("n1") == ["n0", "n2"]
 
     def test_value_consumers_filters_memory_edges(self):
         g = chain_graph(3)

@@ -58,6 +58,61 @@ class TestRoundTrip:
             graph_from_dict(data)
 
 
+#: Malformed wire graphs and the words their GraphError must carry.
+MALFORMED = {
+    "body-not-object": (["a"], "JSON object"),
+    "zero-latency": (
+        {"operations": [{"name": "a"}, {"name": "b", "latency": 0}]},
+        "operation 1",
+    ),
+    "non-int-latency": (
+        {"operations": [{"name": "a", "latency": "fast"}]},
+        "operation 0",
+    ),
+    "null-latency": (
+        {"operations": [{"name": "a", "latency": None}]},
+        "operation 0",
+    ),
+    "missing-name": ({"operations": [{"latency": 2}]}, "'name'"),
+    "operation-not-object": ({"operations": ["a"]}, "operation 0"),
+    "operations-not-list": ({"operations": 3}, "operations"),
+    "edges-not-list": ({"operations": [], "edges": 3}, "edges"),
+    "negative-distance": (
+        {
+            "operations": [{"name": "a"}, {"name": "b"}],
+            "edges": [
+                {"src": "a", "dst": "b"},
+                {"src": "b", "dst": "a", "distance": -1},
+            ],
+        },
+        "edge 1",
+    ),
+    "unknown-kind": (
+        {
+            "operations": [{"name": "a"}, {"name": "b"}],
+            "edges": [{"src": "a", "dst": "b", "kind": "bogus"}],
+        },
+        "edge 0",
+    ),
+    "missing-endpoint": (
+        {"operations": [{"name": "a"}], "edges": [{"src": "a"}]},
+        "'dst'",
+    ),
+    "unknown-endpoint": (
+        {"operations": [{"name": "a"}], "edges": [{"src": "a", "dst": "z"}]},
+        "'z'",
+    ),
+}
+
+
+class TestMalformed:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_raises_graph_error(self, case):
+        data, words = MALFORMED[case]
+        with pytest.raises(GraphError, match=words):
+            graph_from_dict(data)
+
+
 @pytest.mark.parametrize("kernel", kernel_names())
 def test_compiled_kernel_round_trips(kernel):
     """Compiled kernels carry memory and control edges, loop-carried

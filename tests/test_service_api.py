@@ -116,6 +116,25 @@ class TestEndToEnd:
         with pytest.raises(ServiceError, match="ParseError"):
             client.result(job_id)
 
+    @pytest.mark.parametrize(
+        "operations",
+        [
+            [{"name": "a", "latency": 0}],
+            [{"latency": 2}],
+            [{"name": "a", "latency": "fast"}],
+        ],
+        ids=["zero-latency", "missing-name", "non-int-latency"],
+    )
+    def test_malformed_graph_fails_without_retry(self, client, operations):
+        """A malformed graph is a permanent client error: one attempt."""
+        job_id = client.submit(
+            {"kind": "schedule", "graph": {"operations": operations}}
+        )
+        record = client.wait(job_id, timeout=30)
+        assert record["status"] == "failed"
+        assert record["error"]["type"] == "GraphError"
+        assert record["attempts"] == 1
+
     def test_suite_job(self, client, gov_machine):
         job_id = client.submit(
             {"kind": "suite", "suite": "govindarajan", "n_loops": 5,
@@ -613,6 +632,14 @@ class TestVerifyEndpoint:
         key = self._schedule_job(client, gov_suite[0].graph)
         with pytest.raises(ServiceError, match="graph"):
             client._call("POST", "/v1/verify", {"artifact": key})
+
+    def test_verify_malformed_graph_is_a_client_error(
+        self, client, gov_suite
+    ):
+        key = self._schedule_job(client, gov_suite[0].graph)
+        bad = {"operations": [{"name": "a"}], "edges": [{"src": "a"}]}
+        with pytest.raises(ServiceError, match="400"):
+            client.verify(key, bad)
 
     def test_verify_requires_artifact(self, client):
         with pytest.raises(ServiceError, match="artifact"):

@@ -291,9 +291,10 @@ class TestMutationGuard:
         ["hrms", "sms", "slack", "ims", "topdown", "bottomup", "frlc"],
     )
     def test_mutated_graph_schedules_like_a_fresh_session(self, scheduler):
-        """Every graph-derived field (names, row index, latencies,
-        neighbours, digest, MII analysis) follows the version guard, not
-        only the MinDist memo."""
+        """Every graph-derived field follows the version guard, not only
+        the MinDist memo: the session's digest and MII analysis, and the
+        graph's indexed view the schedulers read (positions, latencies,
+        adjacency)."""
         from repro.graph.edges import Edge
         from repro.graph.ops import Operation
         from repro.machine.configs import govindarajan_machine
@@ -307,11 +308,17 @@ class TestMutationGuard:
         session = SchedulingSession(graph, machine)
         make_scheduler(scheduler).schedule(graph, machine, session=session)
         digest = session.digest
+        view = graph.indexed()
         graph.add_operation(Operation("extra", latency=3, opclass="fdiv"))
         graph.add_edge(Edge("a2", "extra"))
         mutated = make_scheduler(scheduler).schedule(
             graph, machine, session=session
         )
+        indexed = graph.indexed()
+        assert indexed is not view and "extra" not in view.position
+        extra = indexed.position["extra"]
+        assert indexed.latencies[extra] == 3
+        assert indexed.predecessors[extra] == (indexed.position["a2"],)
         fresh = make_scheduler(scheduler).schedule(graph, machine)
         assert (mutated.ii, mutated.start) == (fresh.ii, fresh.start)
         assert "extra" in mutated.start
@@ -340,10 +347,10 @@ class TestSchedulingSession:
         session = SchedulingSession(graph, perfect_club_machine())
         ii = session.analysis.mii
         mrt = session.mrt(ii)
-        mrt.place(graph.operation(session.names[0]), 0)
+        mrt.place(graph.operation(graph.first_node), 0)
         again = session.mrt(ii)
         assert again is mrt  # reset in place, not reallocated
-        assert not again.is_placed(graph.operation(session.names[0]))
+        assert not again.is_placed(graph.operation(graph.first_node))
         assert session.mrt(ii + 1) is not mrt
 
     def test_start_bounds_reset_reuse(self):

@@ -40,7 +40,10 @@ class TestSwingOrder:
             placed = set()
             orphans = 0
             for name in order:
-                if not (set(loop.graph.neighbors(name)) & placed):
+                neighbours = loop.graph.predecessors(name) + (
+                    loop.graph.successors(name)
+                )
+                if placed.isdisjoint(neighbours):
                     orphans += 1
                 placed.add(name)
             assert orphans <= len(connected_components(loop.graph))
