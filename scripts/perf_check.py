@@ -606,6 +606,7 @@ def measure_chaos(seeds: int = 30, max_seconds: float = 60.0) -> dict:
     return {
         "seeds": report.seeds,
         "jobs": report.jobs,
+        "admitted": report.admitted,
         "settled": dict(report.settled),
         "scenarios": dict(report.scenarios),
         "faults_fired": dict(report.faults_fired),
@@ -922,8 +923,8 @@ TIERS: tuple[Tier, ...] = (
         "seeded fault-injection mini-campaign (zero invariant violations "
         "gated)",
         measure_chaos,
-        "{seeds} seeds, {jobs} jobs, {faults_total} faults, "
-        "{violations} violation(s) in {wall_s:.1f}s",
+        "{seeds} seeds, {jobs} jobs ({admitted} admitted), "
+        "{faults_total} faults, {violations} violation(s) in {wall_s:.1f}s",
         (
             Rule("violations", "zero", detail="violation_descriptions"),
             Rule("faults_fired", "zero",
@@ -931,6 +932,8 @@ TIERS: tuple[Tier, ...] = (
                  hint="faults fired at unknown injection points"),
             Rule("faults_total", "true",
                  hint="the campaign injected no faults"),
+            Rule("admitted", "true",
+                 hint="no resubmitted request was answered at admission"),
             Rule("settled", "zero",
                  value=lambda row: row["jobs"] - sum(row["settled"].values()),
                  hint="jobs submitted minus jobs settled"),

@@ -100,6 +100,8 @@ def graph_from_dict(data: dict[str, Any]) -> DependenceGraph:
     except (KeyError, TypeError, ValueError) as exc:
         reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
         raise GraphError(f"{where}: {reason}") from exc
+    if not len(graph):
+        raise GraphError("a graph needs at least one operation")
     return graph
 
 

@@ -10,7 +10,9 @@ against a live service under that plan, and then audits the wreckage
 against the resilience invariants:
 
 * **No job lost or stuck** — every accepted job settles (done, failed
-  or timeout) within the settle budget.
+  or timeout) within the settle budget.  A share of each seed's
+  requests is resubmitted after the first wave settles, so repeats
+  answered at admission are audited like any other job.
 * **No corrupt or degraded artifact served as canonical** — every
   artifact a done job points at either integrity-verifies and passes
   the QA oracle battery, or is quarantined and reads as a miss; no
@@ -68,6 +70,12 @@ PROCESS_POOL_POINTS = ("procpool.kill", "procpool.pickle")
 #: what the breaker/degradation path bites on.
 JOB_SCHEDULERS = ("hrms", "topdown", "portfolio", "hrms")
 
+#: Share of a seed's requests submitted a second time once the first
+#: wave has settled: repeats of done requests are answered at admission
+#: (the service's request alias), so torn writes and store read faults
+#: reach that path too.
+RESUBMIT_SHARE = 0.5
+
 
 @dataclass(frozen=True)
 class ChaosConfig:
@@ -121,6 +129,8 @@ class ChaosReport:
 
     seeds: int = 0
     jobs: int = 0
+    #: Jobs the services settled at admission (resubmitted repeats).
+    admitted: int = 0
     settled: dict[str, int] = field(default_factory=dict)
     #: Aggregate fault fires per injection point across every seed.
     faults_fired: dict[str, int] = field(default_factory=dict)
@@ -143,7 +153,8 @@ class ChaosReport:
             f"{count} {name}" for name, count in sorted(self.settled.items())
         ) or "none settled"
         return (
-            f"{self.seeds} seed(s), {self.jobs} job(s) ({states}), "
+            f"{self.seeds} seed(s), {self.jobs} job(s) ({states}; "
+            f"{self.admitted} admitted), "
             f"{fired} fault(s) injected across "
             f"{len(self.faults_fired)} point(s) in "
             f"{self.wall_seconds:.1f}s: {status}"
@@ -392,6 +403,7 @@ def _audit(
 @dataclass
 class _SeedOutcome:
     jobs: int = 0
+    admitted: int = 0
     settled: dict[str, int] = field(default_factory=dict)
     fired: dict[str, int] = field(default_factory=dict)
     rejected: int = 0
@@ -428,6 +440,7 @@ def _run_seed(
             with faults.injected(plan) as injector:
                 if injector.should_fire("chaos.breaker.trip"):
                     service.executor.breaker.force_open()
+                client = None
                 if server is not None:
                     from repro.service.client import ServiceClient
 
@@ -437,24 +450,32 @@ def _run_seed(
                     client = ServiceClient(
                         server.url, retries=4, retry_backoff=0.02
                     )
-                    for request, graph in requests:
+
+                def submit(request: dict, graph: DependenceGraph) -> None:
+                    if client is None:
+                        job = service.submit(request)
+                    else:
                         try:
-                            job_id = client.submit(request)
+                            job = service.job(client.submit(request))
                         except ServiceError:
                             outcome.rejected += 1
-                            continue
-                        job = service.job(job_id)
-                        jobs.append(job)
-                        graphs[job.id] = graph
-                else:
-                    client = None
-                    for request, graph in requests:
-                        job = service.submit(request)
-                        jobs.append(job)
-                        graphs[job.id] = graph
+                            return
+                    jobs.append(job)
+                    graphs[job.id] = graph
+
+                for request, graph in requests:
+                    submit(request, graph)
                 settled_in_time = _wait_settled(
                     jobs, time.monotonic() + config.settle_timeout
                 )
+                if settled_in_time:
+                    rng = random.Random(f"hrms-chaos-resubmit-{seed}")
+                    count = max(1, round(RESUBMIT_SHARE * len(requests)))
+                    for request, graph in rng.sample(requests, count):
+                        submit(request, graph)
+                    settled_in_time = _wait_settled(
+                        jobs, time.monotonic() + config.settle_timeout
+                    )
                 if client is not None and settled_in_time:
                     # Exercise the HTTP read path under fire too.
                     for job in jobs:
@@ -469,6 +490,7 @@ def _run_seed(
                     )
                 outcome.fired = injector.fired()
             outcome.jobs = len(jobs)
+            outcome.admitted = sum(job.admitted for job in jobs)
             for job in jobs:
                 outcome.settled[job.status] = (
                     outcome.settled.get(job.status, 0) + 1
@@ -536,6 +558,7 @@ def run_chaos(
         outcome = _run_seed(seed, scenario, plan, config)
         report.seeds += 1
         report.jobs += outcome.jobs
+        report.admitted += outcome.admitted
         report.rejected_submissions += outcome.rejected
         report.scenarios[scenario] = report.scenarios.get(scenario, 0) + 1
         for status, count in outcome.settled.items():

@@ -24,11 +24,22 @@ Built on :mod:`http.server` (no new dependencies).  Endpoints::
     GET  /v1/jobs/<id>          full job record (status, result, error)
     GET  /v1/artifacts/<key>    the stored JSON envelope
 
+A submission whose identical request (same kind, same request body,
+control fields aside) already settled done is answered at
+**admission**: the service keeps an in-memory *request alias* from the
+canonical request hash to the artifact key, reads that artifact once
+(integrity-checked) and settles the job ``done`` before the 202 goes
+out, so the 202 then carries ``"status": "done"`` and the job never
+enters the queue.  Degraded answers are never aliased, and an artifact
+that is gone or was quarantined drops its alias and the job takes the
+queue path as usual.
+
 Malformed requests are 400s with ``{"error": …}``; unknown ids/keys are
 404s; a full (bounded) job queue is a 429 with a ``Retry-After``
-header.  Submissions accept a ``timeout`` control field (seconds) that
-becomes the job's deadline — a blown deadline settles the job in the
-``timeout`` status.  The server is a
+header (admission answers never touch the queue, so it sheds only work
+that must be computed).  Submissions accept a ``timeout`` control
+field (seconds) that becomes the job's deadline — a blown deadline
+settles the job in the ``timeout`` status.  The server is a
 :class:`~http.server.ThreadingHTTPServer`
 (thread per connection) in front of the worker pool, so submissions
 return immediately and clients poll ``/v1/jobs/<id>``.
@@ -39,7 +50,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
@@ -52,12 +63,13 @@ from repro.service import faults
 from repro.service.executor import (
     DEFAULT_SCHEDULER,
     SchedulingExecutor,
+    result_from_envelope,
 )
 from repro.service.jobs import Job, JobQueue, JobStatus
 from repro.service.metrics import ServiceMetrics
 from repro.service.procpool import ExecutorConfig, make_worker_pool
 from repro.service.resilience import CircuitBreaker
-from repro.service.store import ArtifactStore
+from repro.service.store import ArtifactStore, request_key
 
 #: Job kinds the API accepts.
 JOB_KINDS = ("schedule", "suite")
@@ -67,6 +79,11 @@ _CONTROL_FIELDS = ("kind", "priority", "max_attempts", "timeout")
 
 #: Seconds a 429 response tells the client to back off before retrying.
 RETRY_AFTER_S = 1
+
+#: Request aliases (request hash -> artifact key) kept in memory, oldest
+#: evicted first.  An evicted request is served by a worker again (a
+#: store hit there), so the bound costs latency, never correctness.
+REQUEST_ALIASES_KEPT = 10_000
 
 
 class SchedulingService:
@@ -131,6 +148,10 @@ class SchedulingService:
         self._jobs: dict[str, Job] = {}
         self._finished_order: deque[str] = deque()
         self._jobs_lock = threading.Lock()
+        #: The request alias: ``Job.alias`` of a request that settled
+        #: done (not degraded) -> its artifact key.
+        self._aliases: OrderedDict[str, str] = OrderedDict()
+        self._aliases_lock = threading.Lock()
         self.pool = make_worker_pool(
             self.queue,
             config=self.config,
@@ -228,7 +249,22 @@ class SchedulingService:
             fields["trace_id"] = job.trace_id
         return fields
 
-    def _enqueue(self, job: Job) -> Job:
+    def _register(self, job: Job) -> None:
+        with self._jobs_lock:
+            self._jobs[job.id] = job
+        self.metrics.inc("jobs_submitted")
+        self.events.emit(
+            "job.submitted",
+            priority=job.priority,
+            **self._job_event_fields(job),
+        )
+
+    def _accept(self, job: Job) -> Job:
+        """Settle *job* at admission, or enqueue it for a worker."""
+        if self._admit(job):
+            self._register(job)
+            self._finished(job)
+            return job
         try:
             self.queue.push(job)
         except QueueFullError:
@@ -238,18 +274,55 @@ class SchedulingService:
                 job.trace_root = None
             self.events.emit("job.rejected", **self._job_event_fields(job))
             raise
-        with self._jobs_lock:
-            self._jobs[job.id] = job
-        self.metrics.inc("jobs_submitted")
-        self.events.emit(
-            "job.submitted",
-            priority=job.priority,
-            **self._job_event_fields(job),
-        )
+        self._register(job)
         return job
 
+    def _admit(self, job: Job) -> bool:
+        """Answer *job* from the store when its request is aliased.
+
+        Stamps ``job.alias``.  On an alias hit whose artifact still
+        reads back intact, the job is filled in as a settled ``done``
+        store hit and ``True`` comes back; the caller registers and
+        settles it.  ``False`` (no alias, a stopped service, an artifact
+        gone or quarantined — whose alias is dropped) means the queue.
+        """
+        job.alias = request_key({"kind": job.kind, "request": job.request})
+        with self._aliases_lock:
+            key = self._aliases.get(job.alias)
+        if key is None or self.queue.closed:
+            return False
+        began = time.time()
+        if job.trace_root is not None:
+            with trace.attach(job.trace_id, job.trace_root.span_id):
+                with trace.span("admission", artifact=key[:12]):
+                    envelope = self.store.get(key)
+        else:
+            envelope = self.store.get(key)
+        if envelope is None:
+            with self._aliases_lock:
+                if self._aliases.get(job.alias) == key:
+                    del self._aliases[job.alias]
+            return False
+        job.result = result_from_envelope(key, envelope, cached=True)
+        job.started_at = began
+        job.attempts = 1
+        job.admitted = True
+        job.finished_at = time.time()
+        job.status = JobStatus.DONE
+        self.metrics.inc("jobs_admitted")
+        return True
+
+    def _remember(self, alias: str, key: str) -> None:
+        """Alias *alias* to artifact *key*, evicting past the bound."""
+        with self._aliases_lock:
+            self._aliases[alias] = key
+            self._aliases.move_to_end(alias)
+            while len(self._aliases) > REQUEST_ALIASES_KEPT:
+                self._aliases.popitem(last=False)
+
     def submit(self, body: dict, trace_id: str | None = None) -> Job:
-        """Validate *body* and enqueue a job.
+        """Validate *body* and accept a job: settled at admission when
+        its request is aliased, enqueued otherwise.
 
         *trace_id* adopts a caller-supplied trace (the
         ``X-Hrms-Trace-Id`` header); otherwise a fresh one is minted
@@ -257,7 +330,7 @@ class SchedulingService:
         """
         job = self._build_job(body)
         self._begin_trace(job, trace_id)
-        return self._enqueue(job)
+        return self._accept(job)
 
     def submit_batch(self, bodies: list[dict]) -> list[Job]:
         """Submit a suite of jobs in order; all-or-nothing validation.
@@ -271,7 +344,7 @@ class SchedulingService:
         jobs = [self._build_job(body) for body in bodies]
         for job in jobs:
             self._begin_trace(job)
-        return [self._enqueue(job) for job in jobs]
+        return [self._accept(job) for job in jobs]
 
     # ------------------------------------------------------------------
     def job(self, job_id: str) -> Job | None:
@@ -322,7 +395,6 @@ class SchedulingService:
         from repro.graph.serialization import graph_from_dict
         from repro.qa.oracles import verify_artifact_payload
 
-        graph = graph_from_dict(body["graph"])
         kind = envelope.get("kind")
         if kind == "portfolio":
             payload = envelope["payload"]["schedule"]
@@ -333,6 +405,7 @@ class SchedulingService:
                 f"artifact {key!r} has kind {kind!r}; only schedule and "
                 "portfolio artifacts can be re-verified"
             )
+        graph = graph_from_dict(body["graph"])
         report = verify_artifact_payload(payload, graph)
         report["artifact"] = str(key)
         report["artifact_kind"] = kind
@@ -354,6 +427,10 @@ class SchedulingService:
         degraded = bool(job.result is not None and job.result.get("degraded"))
         if job.status == JobStatus.DONE:
             self.metrics.inc("jobs_done")
+            artifact = (job.result or {}).get("artifact")
+            # A degraded answer is never canonical: never alias it.
+            if job.alias is not None and artifact and not degraded:
+                self._remember(job.alias, artifact)
         elif job.status == JobStatus.TIMEOUT:
             self.metrics.inc("jobs_timeout")
         else:
@@ -391,6 +468,8 @@ class SchedulingService:
         )
         if job.request.get("profile") is not None:
             settled["profile"] = str(job.request["profile"])
+        if job.admitted:
+            settled["admitted"] = True
         if job.latency is not None:
             settled["latency"] = round(job.latency, 6)
         if job.error is not None:

@@ -30,7 +30,7 @@ from typing import Any, Callable
 from repro import cancel
 from repro.engine.mindist import fingerprint_digest
 from repro.engine.session import SessionCache
-from repro.errors import JobError
+from repro.errors import GraphError, JobError
 from repro.graph.ddg import DependenceGraph
 from repro.graph.serialization import graph_from_dict
 from repro.machine.configs import (
@@ -139,6 +139,41 @@ def schedule_from_payload(
     )
 
 
+def result_from_envelope(key: str, envelope: dict, cached: bool) -> dict:
+    """The job result for the artifact *envelope* stored under *key*.
+
+    The one result builder, for worker and admission answers alike, so
+    one artifact always yields one result; only *cached* differs.
+    """
+    request, payload = envelope["request"], envelope["payload"]
+    result = {"kind": "schedule", "artifact": key, "cached": cached}
+    if envelope["kind"] == "suite":
+        result.update(
+            kind="suite",
+            suite=request["suite"],
+            loops=len(payload["loops"]),
+            schedulers=list(request["schedulers"]),
+        )
+        return result
+    portfolio = envelope["kind"] == "portfolio"
+    schedule = payload["schedule"] if portfolio else payload
+    result.update(
+        graph=schedule["graph"]["name"], scheduler=request["scheduler"]
+    )
+    if portfolio:
+        result.update(
+            winner=payload["winner"],
+            policy=payload["policy"],
+            members=[
+                {name: member[name] for name in ("name", "status", "source")}
+                for member in payload["members"]
+            ],
+        )
+    for name in ("ii", "mii", "maxlive"):
+        result[name] = schedule[name]
+    return result
+
+
 class SchedulingExecutor:
     """Resolve job requests and run them against the artifact store."""
 
@@ -185,12 +220,16 @@ class SchedulingExecutor:
         if "source" in request:
             from repro.frontend.pipeline import compile_source, profile_by_name
 
-            loop = compile_source(
+            graph = compile_source(
                 str(request["source"]),
                 name=str(request.get("name", "loop")),
                 profile=profile_by_name(request.get("profile")),
-            )
-            return loop.graph
+            ).graph
+            if not len(graph):
+                raise GraphError(
+                    "source compiled to a graph with no operations"
+                )
+            return graph
         raise JobError(
             "a schedule request needs either 'graph' (serialized DDG) "
             "or 'source' (loop-language text)"
@@ -236,7 +275,7 @@ class SchedulingExecutor:
     ) -> tuple[str, dict, bool]:
         """Get-or-compute one plain schedule artifact.
 
-        Returns ``(key, payload, cached)``.  The single funnel for both
+        Returns ``(key, envelope, cached)``.  The single funnel for both
         direct schedule requests and the degraded-portfolio fallback,
         and the home of the executor's fault-injection hooks."""
         cache_request = self._schedule_cache_request(
@@ -274,7 +313,7 @@ class SchedulingExecutor:
                 envelope["payload"]["seconds"],
                 scheduler=scheduler,
             )
-        return key, envelope["payload"], cached
+        return key, envelope, cached
 
     def _schedule(self, request: dict) -> dict:
         graph = self._resolve_graph(request)
@@ -287,19 +326,9 @@ class SchedulingExecutor:
         if scheduler in registry.VIRTUAL_SCHEDULERS:
             return self._portfolio(request, graph, digest, machine, options)
 
-        key, payload, cached = self._schedule_one(
-            graph, digest, machine, scheduler, options
+        return result_from_envelope(
+            *self._schedule_one(graph, digest, machine, scheduler, options)
         )
-        return {
-            "kind": "schedule",
-            "artifact": key,
-            "cached": cached,
-            "graph": payload["graph"]["name"],
-            "scheduler": scheduler,
-            "ii": payload["ii"],
-            "mii": payload["mii"],
-            "maxlive": payload["maxlive"],
-        }
 
     def _degraded_portfolio(
         self,
@@ -325,16 +354,15 @@ class SchedulingExecutor:
                 reason=reason,
                 fallback=DEGRADED_SCHEDULER,
             )
-        key, payload, cached = self._schedule_one(
-            graph, digest, machine, DEGRADED_SCHEDULER, options
+        result = result_from_envelope(
+            *self._schedule_one(
+                graph, digest, machine, DEGRADED_SCHEDULER, options
+            )
         )
         return {
-            "kind": "schedule",
-            "artifact": key,
-            "cached": cached,
+            **result,
             "degraded": True,
             "degrade_reason": reason,
-            "graph": payload["graph"]["name"],
             "scheduler": "portfolio",
             "winner": DEGRADED_SCHEDULER,
             "policy": None,
@@ -345,9 +373,6 @@ class SchedulingExecutor:
                     "source": "degraded",
                 }
             ],
-            "ii": payload["ii"],
-            "mii": payload["mii"],
-            "maxlive": payload["maxlive"],
         }
 
     # ------------------------------------------------------------------
@@ -545,28 +570,7 @@ class SchedulingExecutor:
             }
             envelope = self.store.put(key, "portfolio", cache_request, payload)
             self.metrics.inc("portfolios_computed")
-        payload = envelope["payload"]
-        schedule_part = payload["schedule"]
-        return {
-            "kind": "schedule",
-            "artifact": key,
-            "cached": cached,
-            "graph": schedule_part["graph"]["name"],
-            "scheduler": "portfolio",
-            "winner": payload["winner"],
-            "policy": payload["policy"],
-            "members": [
-                {
-                    "name": member["name"],
-                    "status": member["status"],
-                    "source": member["source"],
-                }
-                for member in payload["members"]
-            ],
-            "ii": schedule_part["ii"],
-            "mii": schedule_part["mii"],
-            "maxlive": schedule_part["maxlive"],
-        }
+        return result_from_envelope(key, envelope, cached)
 
     # ------------------------------------------------------------------
     def _suite(self, request: dict) -> dict:
@@ -647,12 +651,4 @@ class SchedulingExecutor:
             }
             envelope = self.store.put(key, "suite", cache_request, payload)
             self.metrics.inc("suites_computed")
-        payload = envelope["payload"]
-        return {
-            "kind": "suite",
-            "artifact": key,
-            "cached": cached,
-            "suite": name,
-            "loops": len(payload["loops"]),
-            "schedulers": list(schedulers),
-        }
+        return result_from_envelope(key, envelope, cached)

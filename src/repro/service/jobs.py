@@ -87,6 +87,11 @@ class Job:
     trace_id: str | None = None
     #: The live root ("request") span — internal, not serialized.
     trace_root: object | None = field(default=None, repr=False, compare=False)
+    #: Canonical hash of ``(kind, request)`` — the service's request
+    #: alias key, stamped at submission; internal, not serialized.
+    alias: str | None = field(default=None, repr=False, compare=False)
+    #: Settled at submission from the request alias, never queued.
+    admitted: bool = False
 
     @property
     def latency(self) -> float | None:
@@ -189,6 +194,11 @@ class JobQueue:
             drained = [heapq.heappop(self._heap)[2] for _ in range(len(self._heap))]
             self._cond.notify_all()
         return drained
+
+    @property
+    def closed(self) -> bool:
+        """Whether the queue refuses further pushes (service stopped)."""
+        return self._closed
 
     def __len__(self) -> int:
         with self._cond:

@@ -36,7 +36,8 @@ HELP_TEXT = {
     "hrms_job_latency_samples": "Observations currently in the job-latency window.",
     "hrms_phase_seconds": "Per-phase job latency (label: phase).",
     "hrms_scheduler_seconds": "Per-scheduler schedule-compute latency (label: scheduler).",
-    "hrms_jobs_submitted_total": "Jobs accepted onto the queue.",
+    "hrms_jobs_submitted_total": "Jobs accepted (queued, or settled at admission).",
+    "hrms_jobs_admitted_total": "Jobs settled at admission from the request alias, never queued.",
     "hrms_jobs_done_total": "Jobs settled successfully.",
     "hrms_jobs_failed_total": "Jobs settled with a permanent error.",
     "hrms_jobs_timeout_total": "Jobs settled by deadline expiry.",

@@ -44,6 +44,27 @@ class TestGraphErrors:
         with pytest.raises(UnknownOperationError, match="'ghost'"):
             graph.add_edge(Edge("a", "ghost"))
 
+    def test_source_compiling_to_no_operations(self, tmp_path, monkeypatch):
+        """A front end that lowers to nothing is a typed GraphError at
+        request resolution, never a crash deep in the payload."""
+        from types import SimpleNamespace
+
+        from repro.errors import GraphError
+        from repro.frontend import pipeline
+        from repro.service.executor import SchedulingExecutor
+        from repro.service.store import ArtifactStore
+
+        monkeypatch.setattr(
+            pipeline,
+            "compile_source",
+            lambda *args, **kwargs: SimpleNamespace(
+                graph=DependenceGraph("empty")
+            ),
+        )
+        executor = SchedulingExecutor(ArtifactStore(tmp_path))
+        with pytest.raises(GraphError, match="no operations"):
+            executor.execute_request("schedule", {"source": "do i = 1, 2"})
+
     def test_zero_distance_cycle_rejected(self):
         with pytest.raises(ZeroDistanceCycleError):
             (

@@ -77,6 +77,8 @@ MALFORMED = {
     "operation-not-object": ({"operations": ["a"]}, "operation 0"),
     "operations-not-list": ({"operations": 3}, "operations"),
     "edges-not-list": ({"operations": [], "edges": 3}, "edges"),
+    "no-operations": ({"operations": []}, "at least one operation"),
+    "operations-missing": ({"name": "empty"}, "at least one operation"),
     "negative-distance": (
         {
             "operations": [{"name": "a"}, {"name": "b"}],

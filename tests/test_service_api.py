@@ -641,6 +641,20 @@ class TestVerifyEndpoint:
         with pytest.raises(ServiceError, match="400"):
             client.verify(key, bad)
 
+    def test_verify_empty_graph_is_a_client_error(self, client, gov_suite):
+        key = self._schedule_job(client, gov_suite[0].graph)
+        with pytest.raises(ServiceError, match="400.*at least one operation"):
+            client.verify(key, {"operations": []})
+
+    def test_empty_graph_job_fails_once_with_graph_error(self, client):
+        job_id = client.submit(
+            {"kind": "schedule", "graph": {"operations": []}}
+        )
+        record = client.wait(job_id)
+        assert record["status"] == "failed"
+        assert record["attempts"] == 1
+        assert record["error"]["type"] == "GraphError"
+
     def test_verify_requires_artifact(self, client):
         with pytest.raises(ServiceError, match="artifact"):
             client._call("POST", "/v1/verify", {"graph": {}})
