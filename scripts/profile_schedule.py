@@ -16,7 +16,9 @@ Usage::
     PYTHONPATH=src python scripts/profile_schedule.py --out profile.pstats
 
 ``--out`` saves the raw stats for ``snakeviz``/``pstats`` digging; the
-printed report is always emitted.  Under it, two lines give the garbage
+printed report is always emitted.  Under it, one line gives the
+placement ladder's work per run of the cell (attempts, row groups the
+ladder walked, ``scan_place`` calls) and two lines give the garbage
 collector's pause time and collections per generation (from
 ``gc.callbacks``) during the MII analysis and during the profiled cell,
 so allocation-heavy layers show up as GC cost, not only as their own.
@@ -27,6 +29,7 @@ from __future__ import annotations
 import argparse
 import cProfile
 import gc
+import os
 import pstats
 import random
 import sys
@@ -81,6 +84,28 @@ class GcPauses:
             f"{self.seconds:.4f} s in {sum(self.collections)} collections "
             f"(generation 0/1/2: {per_generation})"
         )
+
+
+def ladder_work(stats: pstats.Stats, runs: int) -> dict[str, int]:
+    """The placement ladder's work per run, read off the profile.
+
+    ``walks`` counts :func:`~repro.schedulers.base.bidirectional_ladder`
+    calls (one per HRMS/SMS attempt), ``resumes`` the reservation-table
+    restores (one per row group resumed after a group failed); a walk
+    starts with one group, so ``groups = walks + resumes``.
+    """
+    wanted = {
+        ("base.py", "bidirectional_ladder"): "walks",
+        ("mrt.py", "restore"): "resumes",
+        ("mrt.py", "scan_place"): "scan_place",
+    }
+    counts = dict.fromkeys(wanted.values(), 0)
+    for (filename, _, function), row in stats.stats.items():
+        name = wanted.get((os.path.basename(filename), function))
+        if name is not None:
+            counts[name] += row[1] // runs
+    counts["groups"] = counts["walks"] + counts["resumes"]
+    return counts
 
 
 def resolve_graph(args: argparse.Namespace):
@@ -193,7 +218,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.out is not None:
         stats.dump_stats(args.out)
         print(f"profile_schedule: raw stats -> {args.out}")
+    work = ladder_work(stats, args.repeat)
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
+    print(
+        f"profile_schedule: ladder work per run: "
+        f"{schedule.stats.attempts} attempts, {work['groups']} row groups "
+        f"({work['walks']} walks + {work['resumes']} resumed), "
+        f"{work['scan_place']} scan_place calls"
+    )
     print(f"profile_schedule: gc during compute_mii: {analysis_gc.summary()}")
     print(f"profile_schedule: gc during the profiled cell: {cell_gc.summary()}")
     return 0

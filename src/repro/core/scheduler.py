@@ -15,10 +15,11 @@ predecessors or only successors in the partial schedule:
 The modulo constraint makes windows longer than II pointless.  If any
 operation finds no slot the pass fails; the placement ladder
 (:func:`~repro.schedulers.base.bidirectional_ladder`, shared with SMS;
-``docs/ARCHITECTURE.md``, "The placement ladder") retries the same order
-with its fallback passes, and when every pass fails the driver retries
-with II+1 — *reusing the same ordering*, the asymmetry the paper
-highlights against ordering-per-II methods.
+``docs/ARCHITECTURE.md``, "The placement ladder") places the same order
+under its fallback rows too, sharing the prefix on which rows agree,
+and when every row fails the driver retries with II+1 — *reusing the
+same ordering*, the asymmetry the paper highlights against
+ordering-per-II methods.
 
 One deliberate strengthening over the paper's formulas:
 EarlyStart/LateStart are computed from the **MinDist matrix** (longest

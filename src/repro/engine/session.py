@@ -16,7 +16,9 @@ The split of responsibilities is deliberate:
 * **per-thread scratch** — StartBounds and MRT instances.  Both are
   mutated during an attempt, so concurrent searches must never share
   one; each thread keeps its latest and resets it in place when the
-  next attempt asks for the same II/matrix.
+  next attempt asks for the same II/matrix.  The placement ladder's
+  per-order plan (:meth:`SchedulingSession.order_plan`) is kept the
+  same way.
 
 :class:`SessionCache` maps (graph fingerprint digest, machine wire
 form) onto live sessions with LRU eviction — the service executor keys
@@ -30,7 +32,7 @@ from __future__ import annotations
 import json
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 import numpy as np
 
@@ -53,6 +55,8 @@ _MINDIST_MEMO_ENTRIES = 8
 
 #: Memo-miss sentinel (``None`` is a valid memo value: infeasible II).
 _MISSING = object()
+
+_Plan = TypeVar("_Plan")
 
 
 class SchedulingSession:
@@ -190,6 +194,22 @@ class SchedulingSession:
         mrt = ModuloReservationTable(self.machine, ii)
         self._scratch.mrt = mrt
         return mrt
+
+    def order_plan(
+        self,
+        order: list[str],
+        build: Callable[[DependenceGraph, list[str]], _Plan],
+    ) -> _Plan:
+        """``build(graph, order)``, kept per thread while *order*,
+        *build* and the graph version stay the same (an II search places
+        one order at every II it tries)."""
+        key = (self.graph.version, build)
+        cached = getattr(self._scratch, "plan", None)
+        if cached is not None and cached[0] == key and cached[1] == order:
+            return cached[2]
+        plan = build(self.graph, order)
+        self._scratch.plan = (key, list(order), plan)
+        return plan
 
     def sweep_stats(self) -> dict[str, int]:
         """MinDist counters: ``fresh_solves`` (one ``closure`` each)

@@ -87,6 +87,16 @@ class StartBounds:
         self._es.fill(_ES_UNSET)
         self._ls.fill(_LS_UNSET)
 
+    def checkpoint(self) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of the running bounds, for :meth:`restore`."""
+        return self._es.copy(), self._ls.copy()
+
+    def restore(self, saved: tuple[np.ndarray, np.ndarray]) -> None:
+        """Return to the bounds :meth:`checkpoint` saw (*saved* is
+        copied, so one checkpoint can be restored many times)."""
+        np.copyto(self._es, saved[0])
+        np.copyto(self._ls, saved[1])
+
     def place(self, i: int, cycle: int) -> None:
         """Fold ``operation i scheduled at cycle`` into every bound."""
         if abs(cycle) >= CYCLE_LIMIT:

@@ -62,6 +62,20 @@ class ModuloReservationTable:
             busy[:] = [0] * len(busy)
         self._placements.clear()
 
+    def checkpoint(self) -> tuple[tuple[str, tuple[str, int, int, int]], ...]:
+        """The current placements, in placement order, for :meth:`restore`."""
+        return tuple(self._placements.items())
+
+    def restore(
+        self, saved: tuple[tuple[str, tuple[str, int, int, int]], ...]
+    ) -> None:
+        """Return to the state :meth:`checkpoint` saw, whatever was
+        placed or vacated since: busy masks, unit per operation and
+        occupant names are rebuilt from the saved placements."""
+        self.reset()
+        for name, (class_name, index, row, span) in saved:
+            self._reserve(class_name, index, row, span, name)
+
     # ------------------------------------------------------------------
     def _kind(self, op: Operation) -> tuple[str, int]:
         """``(unit-class name, span)`` of *op*, cached per op kind."""

@@ -27,6 +27,7 @@ from repro.engine.session import SchedulingSession
 from repro.errors import IterationLimitError
 from repro.obs import trace
 from repro.graph.ddg import DependenceGraph
+from repro.graph.ops import Operation
 from repro.machine.machine import MachineModel
 from repro.machine.mrt import ModuloReservationTable
 from repro.mii.analysis import MIIResult
@@ -88,12 +89,12 @@ def default_ii_limit(graph: DependenceGraph, mii: int) -> int:
 #: when any of them is a successor.
 _NEVER, _ALWAYS, _SUCCS_ONLY, _ANY_SUCC = range(4)
 
-#: The placement ladder HRMS and SMS share at one II, one row per pass:
-#: ``(two-sided scan-down rule, stagger)``.  The passes run in this
-#: order and the first that places every operation wins, so every loop
-#: an earlier pass schedules keeps its bit-identical schedule.
+#: The placement ladder HRMS and SMS share at one II, one row per
+#: placement rule: ``(two-sided scan-down rule, stagger)``.  A loop gets
+#: the schedule of the first row that places every operation, so every
+#: loop an earlier row schedules keeps its bit-identical schedule.
 #:
-#: Every pass scans an II-long window whose limits are the exact
+#: Every row scans an II-long window whose limits are the exact
 #: transitive bounds: upward from EarlyStart when only predecessors
 #: constrain the operation, downward from LateStart when only successors
 #: do, from cycle 0 when nothing does.  The rows differ only in where a
@@ -110,16 +111,16 @@ _NEVER, _ALWAYS, _SUCCS_ONLY, _ANY_SUCC = range(4)
 #:    ``LS - ES`` exceeds II.
 #: 3.–4. Section 3.3's actual direction rule: scheduled direct
 #:    predecessors only → ASAP, successors only → ALAP, both (recurrence
-#:    closers) → up (pass 3) or down (pass 4).  The transitive MinDist
+#:    closers) → up (row 3) or down (row 4).  The transitive MinDist
 #:    bounds give almost every operation *both* an ES and an LS once a
-#:    recurrence node is placed, so passes 1–2 scan nearly everything
+#:    recurrence node is placed, so rows 1–2 scan nearly everything
 #:    ASAP, and an operation whose only scheduled direct neighbours are
 #:    successors gets parked at its transitive EarlyStart (often far too
 #:    early).  That can freeze a later recurrence closer into a
 #:    one-cycle window on an occupied row at **every** II, so the
 #:    driver's II+1 retry loops to exhaustion (found by the QA fuzzing
 #:    campaign; minimized in ``tests/corpus/``).
-#: 5.–6. Passes 3–4 with every multi-candidate window rotated by one
+#: 5.–6. Rows 3–4 with every multi-candidate window rotated by one
 #:    cycle, so boundary cycles (an op's exact EarlyStart/LateStart) are
 #:    tried *last*.  An op parked at exactly its LS both freezes a
 #:    successor's window and squats on the row that successor needs;
@@ -134,58 +135,66 @@ _LADDER = (
     (_ANY_SUCC, 1),
 )
 
+#: The ladder's rows as bits of a mask: bit ``r`` is row ``r + 1``.
+_ALL_ROWS = (1 << len(_LADDER)) - 1
+#: The rows that rotate a multi-candidate window, by :data:`_STAGGER`.
+_STAGGERED = sum(1 << r for r, (_, stagger) in enumerate(_LADDER) if stagger)
+(_STAGGER,) = {stagger for _, stagger in _LADDER if stagger}
 
-def _ladder_pass(
-    session: SchedulingSession,
-    ii: int,
-    order: list[str],
-    scan_down: int,
-    stagger: int,
-) -> dict[str, int] | None:
-    """One pass of :data:`_LADDER`: place *order* at *ii* or fail."""
-    graph = session.graph
-    bounds = session.start_bounds(ii)
-    if bounds is None:
-        return None  # II below RecMII; cannot happen from the driver
+
+def _rows_scanning_down(succ: bool, pred: bool) -> int:
+    """The rows that scan a two-sided window down from its LateStart
+    when a direct successor (*succ*) / predecessor (*pred*) is placed."""
+    rows = 0
+    for r, (rule, _) in enumerate(_LADDER):
+        if rule == _ALWAYS or (
+            rule != _NEVER and succ and (rule == _ANY_SUCC or not pred)
+        ):
+            rows |= 1 << r
+    return rows
+
+
+#: :func:`_rows_scanning_down` for each ``2 * succ + pred``.
+_DOWN_ROWS = tuple(
+    _rows_scanning_down(succ, pred)
+    for succ in (False, True)
+    for pred in (False, True)
+)
+
+
+def _ladder_plan(
+    graph: DependenceGraph, order: list[str]
+) -> tuple[list[int], list[Operation], list[int]]:
+    """Positions, operations and down-scanning rows of *order*.
+
+    Which rows scan a two-sided window down at ``order[j]`` depends on
+    whether ``order[:j]`` holds a direct successor or predecessor of it:
+    static per order, because a walk has placed exactly ``order[:j]``
+    when it reaches ``order[j]``.
+    """
     view = graph.indexed()
-    mrt = session.mrt(ii)
-    start: dict[str, int] = {}
+    positions = [view.position[name] for name in order]
     placed: set[int] = set()
-    for name in order:
-        i = view.position[name]
-        es = bounds.early_start(i)
-        ls = bounds.late_start(i)
-        if ls is None:
-            window = upward_window(0 if es is None else es, ii)
-        elif es is None:
-            window = downward_window(ls, ii)
-        elif es > ls:
-            return None
-        else:
-            if scan_down == _NEVER:
-                down = False
-            elif scan_down == _ALWAYS:
-                down = True
-            else:
-                down = not placed.isdisjoint(view.successors[i]) and (
-                    scan_down == _ANY_SUCC
-                    or placed.isdisjoint(view.predecessors[i])
-                )
-            if down:
-                window = downward_window(ls, ii, es)
-            else:
-                window = upward_window(es, ii, ls)
-        candidates: Sequence[int] = window
-        if stagger and len(window) > 1:
-            shift = stagger % len(window)
-            candidates = [*window[shift:], *window[:shift]]
-        cycle = mrt.scan_place(graph.operation(name), candidates)
-        if cycle is None:
-            return None
-        start[name] = cycle
+    down_rows = []
+    for i in positions:
+        succ = not placed.isdisjoint(view.successors[i])
+        pred = not placed.isdisjoint(view.predecessors[i])
+        down_rows.append(_DOWN_ROWS[2 * succ + pred])
         placed.add(i)
-        bounds.place(i, cycle)
-    return start
+    return positions, [graph.operation(name) for name in order], down_rows
+
+
+def _lowest(rows: int) -> int:
+    """The lowest row of a mask, as its bit."""
+    return rows & -rows
+
+
+def _split(live: int, part: int) -> tuple[int, int]:
+    """``(staying, leaving)`` when *part* of the *live* rows chooses
+    another window: the side that holds the lowest row stays."""
+    if part & _lowest(live):
+        return part, live ^ part
+    return live ^ part, part
 
 
 def bidirectional_ladder(
@@ -193,19 +202,98 @@ def bidirectional_ladder(
     ii: int,
     order: list[str],
 ) -> dict[str, int] | None:
-    """Place *order* at *ii* with the first pass of :data:`_LADDER`
-    that places every operation, or return ``None``.
+    """Place *order* at *ii* as the first row of :data:`_LADDER` that
+    places every operation would, or return ``None``.
+
+    The rows are walked together, as one group of the rows that still
+    agree: rows that make the same window choice at every operation
+    share one prefix of placements.  When an operation's window splits
+    the group, the rows that leave wait with a checkpoint of the
+    state (StartBounds, reservation table, prefix cycles) and the walk
+    goes on with the part that holds the lowest row.  A group fails as a
+    whole; then the waiting group with the lowest row is restored and
+    resumed.  So the first group to place every operation holds the
+    lowest row that succeeds, and its start map is that row's.
 
     HRMS and SMS (their orderings differ, their placement rule does not)
     each keep a one-line ``attempt`` of their own that calls this
     helper, so instrumentation that wraps a class's own ``attempt`` (the
     perfbench layer tracer) still sees both.
     """
-    for scan_down, stagger in _LADDER:
-        result = _ladder_pass(session, ii, order, scan_down, stagger)
-        if result is not None:
-            return result
-    return None
+    bounds = session.start_bounds(ii)
+    if bounds is None:
+        return None  # II below RecMII; cannot happen from the driver
+    mrt = session.mrt(ii)
+    positions, ops, down_rows = session.order_plan(order, _ladder_plan)
+    early_start = bounds.early_start
+    late_start = bounds.late_start
+    n = len(order)
+    live = _ALL_ROWS
+    cycles: list[int] = []
+    # (rows, operation index, checkpoint) per group waiting to resume.
+    waiting: list[tuple[int, int, tuple]] = []
+    checkpoint: tuple = ()
+    checkpoint_at = -1
+    j = 0
+    while True:
+        while j < n:
+            i = positions[j]
+            es = early_start(i)
+            ls = late_start(i)
+            leaving = 0
+            if ls is None:
+                window: Sequence[int] = upward_window(
+                    0 if es is None else es, ii
+                )
+            elif es is None:
+                window = downward_window(ls, ii)
+            elif es > ls:
+                break
+            else:
+                down = live & down_rows[j]
+                if down and down != live and es < ls:
+                    # At es == ls both windows are the one cycle es.
+                    live, leaving = _split(live, down)
+                    down &= live
+                if down:
+                    window = downward_window(ls, ii, es)
+                else:
+                    window = upward_window(es, ii, ls)
+            staggered = live & _STAGGERED
+            if staggered and len(window) > 1:
+                if staggered != live:
+                    live, left = _split(live, staggered)
+                    leaving |= left
+                    staggered &= live
+                if staggered:
+                    shift = _STAGGER % len(window)
+                    window = [*window[shift:], *window[:shift]]
+            if leaving:
+                if checkpoint_at != j:
+                    checkpoint = (
+                        bounds.checkpoint(), mrt.checkpoint(), tuple(cycles)
+                    )
+                    checkpoint_at = j
+                waiting.append((leaving, j, checkpoint))
+            cycle = mrt.scan_place(ops[j], window)
+            if cycle is None:
+                break
+            cycles.append(cycle)
+            bounds.place(i, cycle)
+            j += 1
+        else:
+            return dict(zip(order, cycles))
+        if not waiting:
+            return None
+        # Every row of the failed group failed; resume the waiting group
+        # that holds the lowest row.
+        resume = min(range(len(waiting)), key=lambda k: _lowest(waiting[k][0]))
+        live, j, checkpoint = waiting.pop(resume)
+        saved_bounds, saved_mrt, saved_cycles = checkpoint
+        bounds.restore(saved_bounds)
+        mrt.restore(saved_mrt)
+        cycles = list(saved_cycles)
+        checkpoint_at = j
 
 
 def direct_edge_pass(

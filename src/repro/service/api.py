@@ -29,10 +29,11 @@ control fields aside) already settled done is answered at
 **admission**: the service keeps an in-memory *request alias* from the
 canonical request hash to the artifact key, reads that artifact once
 (integrity-checked) and settles the job ``done`` before the 202 goes
-out, so the 202 then carries ``"status": "done"`` and the job never
-enters the queue.  Degraded answers are never aliased, and an artifact
-that is gone or was quarantined drops its alias and the job takes the
-queue path as usual.
+out, so the 202 then carries the job's whole settled record (the body
+``GET /v1/jobs/<id>`` would return, ``"status": "done"`` and the
+``result`` included) and the job never enters the queue.  Degraded
+answers are never aliased, and an artifact that is gone or was
+quarantined drops its alias and the job takes the queue path as usual.
 
 Malformed requests are 400s with ``{"error": …}``; unknown ids/keys are
 404s; a full (bounded) job queue is a 429 with a ``Retry-After``
@@ -156,7 +157,7 @@ class SchedulingService:
             self.queue,
             config=self.config,
             execute=self.executor.execute,
-            store_root=self.store.root,
+            store=self.store,
             metrics=self.metrics,
             on_finish=self._finished,
             events=self.events,
@@ -789,7 +790,12 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 job = self.service.submit(
                     body, trace_id=self.headers.get("X-Hrms-Trace-Id")
                 )
-                payload = {"id": job.id, "status": job.status}
+                if job.admitted:
+                    # Settled at admission: the 202 is the whole record,
+                    # so a client needs no GET /v1/jobs/<id>.
+                    payload = job.to_dict()
+                else:
+                    payload = {"id": job.id, "status": job.status}
                 headers = None
                 if job.trace_id is not None:
                     payload["trace"] = job.trace_id

@@ -20,9 +20,11 @@ from __future__ import annotations
 import functools
 import http.client
 import json
+import threading
 import time
 import urllib.error
 import urllib.request
+from collections import OrderedDict
 
 from repro.errors import ServiceError
 from repro.graph.ddg import DependenceGraph
@@ -39,6 +41,10 @@ DEFAULT_CONNECT_TIMEOUT = 5.0
 
 #: Default retry budget (attempts beyond the first).
 DEFAULT_RETRIES = 2
+
+#: Settled records from admission 202s a client keeps for :meth:`wait`
+#: (oldest dropped first; a dropped one costs one ``GET``).
+SETTLED_RECORDS_KEPT = 256
 
 
 class _SplitTimeoutConnection(http.client.HTTPConnection):
@@ -98,6 +104,9 @@ class ServiceClient:
         self._opener = urllib.request.build_opener(
             _SplitTimeoutHandler(read_timeout=timeout)
         )
+        #: Job id -> the settled record an admission 202 carried.
+        self._settled: OrderedDict[str, dict] = OrderedDict()
+        self._settled_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def _call(
@@ -261,8 +270,16 @@ class ServiceClient:
     def submit_record(self, request: dict) -> dict:
         """Submit one raw job request and return the full acceptance
         record — ``{"id", "status"}`` plus ``"trace"`` (the end-to-end
-        trace id) when the server has tracing armed."""
-        return self._call("POST", "/v1/jobs", request)
+        trace id) when the server has tracing armed.  A request answered
+        at admission comes back as its whole settled job record, which
+        the next :meth:`wait` for it returns without a ``GET``."""
+        record = self._call("POST", "/v1/jobs", request)
+        if record.get("status") in JobStatus.SETTLED and "result" in record:
+            with self._settled_lock:
+                self._settled[record["id"]] = record
+                while len(self._settled) > SETTLED_RECORDS_KEPT:
+                    self._settled.popitem(last=False)
+        return record
 
     def submit_batch(self, requests: list[dict]) -> list[str]:
         """Submit a suite of requests; returns the job ids in order."""
@@ -331,7 +348,12 @@ class ServiceClient:
     def wait(
         self, job_id: str, *, timeout: float = 60.0, poll: float = 0.02
     ) -> dict:
-        """Poll until the job settles; returns the final record."""
+        """Poll until the job settles; returns the final record (the
+        one its admission 202 carried, when it settled at submit)."""
+        with self._settled_lock:
+            record = self._settled.pop(job_id, None)
+        if record is not None:
+            return record
         deadline = time.monotonic() + timeout
         while True:
             record = self.job(job_id)

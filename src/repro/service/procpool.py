@@ -42,7 +42,7 @@ import threading
 import time
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -54,6 +54,7 @@ from repro.service import faults
 from repro.service.jobs import Job, JobQueue, WorkerPool
 from repro.service.metrics import ServiceMetrics
 from repro.service.resilience import RetryPolicy
+from repro.service.store import ArtifactStore
 
 #: Execution backends a service can run on.
 BACKENDS = ("thread", "process")
@@ -137,6 +138,7 @@ class ExecutorConfig:
 #: Per-process executor state, built once by :func:`_init_worker`.
 _WORKER_EXECUTOR = None
 _WORKER_METRICS: ServiceMetrics | None = None
+_WORKER_STORE: ArtifactStore | None = None
 
 
 def _init_worker(store_root: str, tracing: bool = False) -> None:
@@ -149,15 +151,13 @@ def _init_worker(store_root: str, tracing: bool = False) -> None:
     over the same graphs hit warm per-process caches.  The engine and
     the machine catalog are warmed before the first job arrives.
     """
-    global _WORKER_EXECUTOR, _WORKER_METRICS
+    global _WORKER_EXECUTOR, _WORKER_METRICS, _WORKER_STORE
     from repro.engine import warm_start
     from repro.service.executor import SchedulingExecutor
-    from repro.service.store import ArtifactStore
 
     _WORKER_METRICS = ServiceMetrics()
-    _WORKER_EXECUTOR = SchedulingExecutor(
-        ArtifactStore(store_root), _WORKER_METRICS
-    )
+    _WORKER_STORE = ArtifactStore(store_root)
+    _WORKER_EXECUTOR = SchedulingExecutor(_WORKER_STORE, _WORKER_METRICS)
     if tracing:
         # Worker-side spans collect locally and ride back to the parent
         # in the result envelope (see run_wire_job).
@@ -187,7 +187,10 @@ def run_wire_job(wire: dict) -> dict:
     "permanent": bool, "error_type": …, "message": …}`` —
     ``permanent`` mirrors the thread pool's rule that
     :class:`~repro.errors.ReproError` is deterministic (no retry) while
-    anything else may be transient.  When the wire carries a ``trace``
+    anything else may be transient.  Either carries ``"store":
+    {counter: delta}`` when the job moved the worker's store counters
+    (hits, misses, writes, quarantines), for the parent's store to
+    absorb.  When the wire carries a ``trace``
     context (and this worker armed tracing), the job executes attached
     to it and the worker-side spans ride home on the envelope under
     ``"spans"``.
@@ -204,6 +207,10 @@ def run_wire_job(wire: dict) -> dict:
     return envelope
 
 
+def _store_counts() -> dict[str, int]:
+    return asdict(_WORKER_STORE.stats())
+
+
 def _run_wire_job(wire: dict) -> dict:
     if _WORKER_EXECUTOR is None or _WORKER_METRICS is None:
         return {
@@ -213,31 +220,41 @@ def _run_wire_job(wire: dict) -> dict:
             "message": "worker process was not initialized",
         }
     before = {name: _WORKER_METRICS.counter(name) for name in WIRE_COUNTERS}
+    store_before = _store_counts()
     try:
         with cancel.deadline_scope(wire.get("deadline")):
             result = _WORKER_EXECUTOR.execute_request(
                 str(wire["kind"]), dict(wire["request"])
             )
     except ReproError as exc:
-        return {
+        envelope = {
             "ok": False,
             "permanent": True,
             "error_type": type(exc).__name__,
             "message": str(exc),
         }
     except Exception as exc:  # noqa: BLE001 - crosses the process boundary
-        return {
+        envelope = {
             "ok": False,
             "permanent": False,
             "error_type": type(exc).__name__,
             "message": str(exc),
         }
-    computed = {
-        name: _WORKER_METRICS.counter(name) - before[name]
-        for name in WIRE_COUNTERS
-        if _WORKER_METRICS.counter(name) - before[name]
+    else:
+        computed = {
+            name: _WORKER_METRICS.counter(name) - before[name]
+            for name in WIRE_COUNTERS
+            if _WORKER_METRICS.counter(name) - before[name]
+        }
+        envelope = {"ok": True, "result": result, "computed": computed}
+    moved = {
+        name: count - store_before[name]
+        for name, count in _store_counts().items()
+        if count != store_before[name]
     }
-    return {"ok": True, "result": result, "computed": computed}
+    if moved:
+        envelope["store"] = moved
+    return envelope
 
 
 # ----------------------------------------------------------------------
@@ -300,7 +317,7 @@ class ProcessWorkerPool(WorkerPool):
     def __init__(
         self,
         queue: JobQueue,
-        store_root: str | Path,
+        store: ArtifactStore | str | Path,
         *,
         workers: int | None = None,
         on_finish: Callable[[Job], None] | None = None,
@@ -319,7 +336,12 @@ class ProcessWorkerPool(WorkerPool):
             retry_policy=retry_policy,
             events=events,
         )
-        self._store_root = str(store_root)
+        # Workers open their own store on the root; given the parent's
+        # store object, the pool folds the workers' counters into it.
+        self._store = store if isinstance(store, ArtifactStore) else None
+        self._store_root = str(
+            store.root if isinstance(store, ArtifactStore) else store
+        )
         self._metrics = metrics
         self._tracing = tracing
         self._executor: ProcessPoolExecutor | None = None
@@ -519,6 +541,8 @@ class ProcessWorkerPool(WorkerPool):
             # Worker-side spans (even from failed attempts) join the
             # parent's trace here.
             trace.ACTIVE.merge(envelope["spans"])
+        if self._store is not None and envelope.get("store"):
+            self._store.absorb(envelope["store"])
         if envelope.get("ok"):
             if self._metrics is not None:
                 for name, amount in envelope.get("computed", {}).items():
@@ -536,7 +560,7 @@ def make_worker_pool(
     *,
     config: ExecutorConfig,
     execute: Callable[[Job], dict],
-    store_root: str | Path,
+    store: ArtifactStore,
     metrics: ServiceMetrics | None = None,
     on_finish: Callable[[Job], None] | None = None,
     events: object | None = None,
@@ -544,13 +568,14 @@ def make_worker_pool(
     """Build the worker pool *config* asks for.
 
     ``execute`` drives the thread backend (in-process executor);
-    ``store_root`` drives the process backend (each worker opens its
-    own executor over the shared store).
+    ``store`` drives the process backend (each worker opens its own
+    executor over the store's root, and the workers' store counters are
+    folded into *store*).
     """
     if config.backend == "process":
         return ProcessWorkerPool(
             queue,
-            store_root,
+            store,
             workers=config.workers,
             on_finish=on_finish,
             metrics=metrics,

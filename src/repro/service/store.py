@@ -269,6 +269,14 @@ class ArtifactStore:
                 continue  # a torn concurrent write, not an artifact
             yield entry.stem
 
+    def absorb(self, counts: dict[str, int]) -> None:
+        """Add counter deltas that another store object over the same
+        root recorded (a process-backend worker's, carried home in its
+        result envelope) to this one's counters."""
+        with self._lock:
+            for name, amount in counts.items():
+                setattr(self._stats, name, getattr(self._stats, name) + amount)
+
     def stats(self) -> StoreStats:
         """A copy of the hit/miss counters."""
         with self._lock:

@@ -2,8 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
 
+from repro.engine.windows import StartBounds
 from repro.errors import MachineError, UnknownResourceError
 from repro.graph.ops import FADD, FDIV, FMUL, GENERIC, MEM, Operation
 from repro.machine.configs import (
@@ -345,3 +347,94 @@ class TestBitmaskMRTParity:
         assert mrt.scan_place(op, range(0, 4)) == 0
         with pytest.raises(MachineError):
             mrt.scan_place(op, range(0, 4))
+
+
+class TestCheckpointRestore:
+    """``checkpoint``/``restore`` on the reservation table and on
+    StartBounds, as the placement ladder uses them: a restore may jump
+    to a checkpoint taken on another branch of the walk."""
+
+    KINDS = [(FADD, 4), (FMUL, 4), (FDIV, 17), (MEM, 2), (FADD, 1)]
+
+    def _grow(self, rng, mrt, bounds, prefix, steps, tag):
+        """Scan-place *steps* random ops on top of *prefix* (a list of
+        ``(op, position, cycle)``), folding each into *bounds*."""
+        for step in range(steps):
+            opclass, latency = rng.choice(self.KINDS)
+            op = Operation(f"{tag}{step}", latency=latency, opclass=opclass)
+            base = rng.randint(-3, 2 * mrt.ii)
+            window = range(base, base + rng.randint(1, mrt.ii))
+            if rng.random() < 0.5:
+                window = window[::-1]
+            cycle = mrt.scan_place(op, window)
+            if cycle is not None:
+                position = rng.randrange(bounds.dist.shape[0])
+                bounds.place(position, cycle)
+                prefix.append((op, position, cycle))
+        return prefix
+
+    def _assert_matches_fresh(self, mrt, bounds, machine, prefix):
+        """*mrt*/*bounds* equal a fresh table and bounds that placed
+        only *prefix*, in order."""
+        fresh = ModuloReservationTable(machine, mrt.ii)
+        replay = StartBounds(bounds.dist)
+        for op, position, cycle in prefix:
+            assert fresh.place(op, cycle)
+            replay.place(position, cycle)
+        assert mrt._busy == fresh._busy
+        assert mrt._placements == fresh._placements
+        assert mrt.checkpoint() == fresh.checkpoint()
+        for unit in machine.unit_classes():
+            for row in range(mrt.ii):
+                assert mrt.occupants(unit.name, row) == fresh.occupants(
+                    unit.name, row
+                )
+        for opclass, latency in self.KINDS:
+            probe = Operation("probe", latency=latency, opclass=opclass)
+            for cycle in range(mrt.ii):
+                assert mrt.conflicting_ops(probe, cycle) == (
+                    fresh.conflicting_ops(probe, cycle)
+                )
+        assert np.array_equal(bounds._es, replay._es)
+        assert np.array_equal(bounds._ls, replay._ls)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_restore_to_any_branch(self, seed, pc_machine):
+        rng = random.Random(300 + seed)
+        ii = rng.randint(2, 18)
+        n = 12
+        dist = np.array(
+            [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)],
+            dtype=np.int64,
+        )
+        mrt = ModuloReservationTable(pc_machine, ii)
+        bounds = StartBounds(dist)
+        trunk = self._grow(rng, mrt, bounds, [], 4, "t")
+        saved = {"trunk": (mrt.checkpoint(), bounds.checkpoint(), trunk[:])}
+        left = self._grow(rng, mrt, bounds, trunk[:], 5, "l")
+        saved["left"] = (mrt.checkpoint(), bounds.checkpoint(), left[:])
+        # Back to the trunk, then down a second branch.
+        mrt.restore(saved["trunk"][0])
+        bounds.restore(saved["trunk"][1])
+        self._assert_matches_fresh(mrt, bounds, pc_machine, trunk)
+        right = self._grow(rng, mrt, bounds, trunk[:], 6, "r")
+        saved["right"] = (mrt.checkpoint(), bounds.checkpoint(), right[:])
+        # Jump across branches, repeatedly, and to the same one twice
+        # (a checkpoint survives being restored).
+        for name in ("left", "right", "trunk", "left", "left", "right"):
+            table_state, bound_state, prefix = saved[name]
+            mrt.restore(table_state)
+            bounds.restore(bound_state)
+            self._assert_matches_fresh(mrt, bounds, pc_machine, prefix)
+        # A restored table keeps working like the fresh one.
+        more = self._grow(rng, mrt, bounds, right[:], 4, "m")
+        self._assert_matches_fresh(mrt, bounds, pc_machine, more)
+
+    def test_restore_of_empty_checkpoint_clears(self, pc_machine):
+        mrt = ModuloReservationTable(pc_machine, 5)
+        empty = mrt.checkpoint()
+        assert empty == ()
+        assert mrt.scan_place(Operation("a", opclass=FADD), range(5)) == 0
+        mrt.restore(empty)
+        assert mrt.utilisation() == 0.0
+        assert mrt.occupants(FADD, 0) == []

@@ -445,6 +445,26 @@ class TestBackendParity:
         assert all(job.result["cached"] for job in jobs)
         assert service.metrics.counter("schedules_computed") == 0
 
+    def test_worker_store_counters_reach_the_parent(
+        self, tmp_path, gov_suite
+    ):
+        store = tmp_path / "store"
+        request = self._requests(gov_suite)[0]
+        config = ExecutorConfig(backend="process", workers=1)
+        _, cold = _run_requests(store, [request], config)
+        stats = cold.store.stats()
+        assert (stats.hits, stats.misses, stats.writes) == (0, 1, 1)
+        # A fresh service has no request alias: the repeat reaches a
+        # worker, which answers it from the warm store.
+        jobs, warm = _run_requests(store, [request], config)
+        assert jobs[0].result["cached"]
+        stats = warm.store.stats()
+        assert (stats.hits, stats.misses, stats.writes) == (1, 0, 0)
+        assert stats.quarantined == 0
+        metrics = warm.metrics_text().splitlines()
+        assert "hrms_store_hits 1" in metrics
+        assert "hrms_store_misses 0" in metrics
+
 
 class TestShutdownReaping:
     """`hrms-serve --backend process` shutdown: the worker pool must be

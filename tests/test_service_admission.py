@@ -108,6 +108,48 @@ class TestAdmission:
             assert record["result"]["cached"] is True
             assert "hrms_jobs_admitted_total 1" in client.metrics()
 
+    def test_http_202_of_an_admitted_job_is_its_record(self, tmp_path):
+        from repro.service.client import ServiceClient
+
+        with ServiceServer(tmp_path / "store", workers=1) as server:
+            client = ServiceClient(server.url)
+            first = client._call("POST", "/v1/jobs", schedule_request())
+            assert set(first) - {"trace"} == {"id", "status"}
+            client.wait(first["id"], timeout=60)
+            again = client._call("POST", "/v1/jobs", schedule_request())
+            assert again["status"] == "done"
+            assert again["result"]["cached"] is True
+            assert again["attempts"] == 1
+            record = client.job(again["id"])
+            assert {k: v for k, v in again.items() if k != "trace"} == record
+
+    def test_client_waits_on_an_admitted_job_without_a_get(self, tmp_path):
+        from repro.service.client import ServiceClient
+
+        with ServiceServer(tmp_path / "store", workers=1) as server:
+            client = ServiceClient(server.url)
+            calls = []
+            call_once = client._call_once
+
+            def recording(method, path, *args, **kwargs):
+                calls.append((method, path))
+                return call_once(method, path, *args, **kwargs)
+
+            client._call_once = recording
+            first = client.submit(schedule_request())
+            client.result(first, timeout=60)
+            assert ("GET", f"/v1/jobs/{first}") in calls
+            calls.clear()
+            again = client.submit(schedule_request())
+            envelope = client.result(again, timeout=60)
+            assert calls == [
+                ("POST", "/v1/jobs"),
+                ("GET", f"/v1/artifacts/{envelope['key']}"),
+            ]
+            # The record serves one wait; the next one asks the server.
+            assert client.wait(again)["status"] == "done"
+            assert calls[-1] == ("GET", f"/v1/jobs/{again}")
+
     def test_batch_members_are_admitted(self, service):
         pushed = spy_on_queue(service)
         settle(service.submit(schedule_request(0)))
